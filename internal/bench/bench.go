@@ -89,7 +89,7 @@ func prefill(c *cluster.Cluster, name string, n int64) {
 }
 
 // openDafs dials a session and opens an MPI-IO file over it.
-func openDafs(p *sim.Proc, c *cluster.Cluster, client int, name string, mode int, opts *dafs.Options) (*mpiio.File, *mpiio.DAFSDriver) {
+func openDafs(p *sim.Proc, c *cluster.Cluster, client int, name string, mode int, opts *dafs.Options) (*mpiio.File, *mpiio.StripedDAFSDriver) {
 	cl, err := c.DialDAFS(p, client, opts)
 	if err != nil {
 		panic(fmt.Sprintf("bench: dafs dial: %v", err))

@@ -16,13 +16,13 @@ type transferResult struct {
 }
 
 // dafsTransfer measures sequential MPI-IO requests of one size over DAFS.
-func dafsTransfer(size int, total int64, write bool, cfg func(*mpiio.DAFSDriver), opts *dafs.Options) transferResult {
+func dafsTransfer(size int, total int64, write bool, cfg func(*mpiio.StripedDAFSDriver), opts *dafs.Options) transferResult {
 	return dafsTransferProf(nil, size, total, write, cfg, opts)
 }
 
 // dafsTransferProf is dafsTransfer under an explicit cost model (nil =
 // default clan-1998).
-func dafsTransferProf(prof *model.Profile, size int, total int64, write bool, cfg func(*mpiio.DAFSDriver), opts *dafs.Options) transferResult {
+func dafsTransferProf(prof *model.Profile, size int, total int64, write bool, cfg func(*mpiio.StripedDAFSDriver), opts *dafs.Options) transferResult {
 	c := cluster.New(cluster.Config{Clients: 1, DAFS: true, Profile: prof})
 	if !write {
 		prefill(c, "f", total)
@@ -138,9 +138,9 @@ func T3InlineDirect() *stats.Table {
 	bigInline := &dafs.Options{MaxInline: 256 << 10}
 	for _, size := range []int{512, 2048, 8192, 32768, 131072, 262144} {
 		total := totalFor(size)
-		inline := dafsTransfer(size, total, false, func(d *mpiio.DAFSDriver) { d.DirectThreshold = 256 << 10 }, bigInline)
-		direct := dafsTransfer(size, total, false, func(d *mpiio.DAFSDriver) { d.DirectThreshold = 0 }, bigInline)
-		auto := dafsTransfer(size, total, false, func(d *mpiio.DAFSDriver) { d.DirectThreshold = 8192 }, bigInline)
+		inline := dafsTransfer(size, total, false, func(d *mpiio.StripedDAFSDriver) { d.DirectThreshold = 256 << 10 }, bigInline)
+		direct := dafsTransfer(size, total, false, func(d *mpiio.StripedDAFSDriver) { d.DirectThreshold = 0 }, bigInline)
+		auto := dafsTransfer(size, total, false, func(d *mpiio.StripedDAFSDriver) { d.DirectThreshold = 8192 }, bigInline)
 		t.AddRow(stats.Size(int64(size)),
 			stats.BW(inline.bw), stats.BW(direct.bw), stats.BW(auto.bw))
 	}

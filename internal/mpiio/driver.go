@@ -44,6 +44,25 @@ func checkAccessMode(mode int) error {
 	return nil
 }
 
+// checkIO is every handle's access check for an I/O at off: the handle
+// must be open, the offset non-negative, and the direction allowed by the
+// open mode.
+func checkIO(closed bool, mode int, off int64, write bool) error {
+	if closed {
+		return ErrClosed
+	}
+	if off < 0 {
+		return ErrNegative
+	}
+	if write && mode&ModeRdOnly != 0 {
+		return ErrReadOnly
+	}
+	if !write && mode&ModeWrOnly != 0 {
+		return ErrWriteOnly
+	}
+	return nil
+}
+
 // Driver is the ADIO-style transport abstraction: MPI-IO needs only
 // contiguous reads and writes plus a handful of control operations; all
 // noncontiguous and collective cleverness lives above this line, exactly as

@@ -6,28 +6,40 @@ import (
 	"reflect"
 
 	"dafsio/internal/dafs"
-	"dafsio/internal/fabric"
+	"dafsio/internal/layout"
 	"dafsio/internal/sim"
-	"dafsio/internal/trace"
 	"dafsio/internal/via"
 )
 
-// DAFSDriver binds MPI-IO to a DAFS session. Its two policies are the ones
-// the paper's implementation section is about:
-//
-//   - Transfer discipline: requests up to DirectThreshold bytes go inline
-//     (data inside the message, one copy per end); larger requests use
-//     direct I/O (server-driven RDMA into registered client memory).
-//   - Registration cache: direct I/O needs the user buffer registered with
-//     the NIC, which costs real CPU time; the driver caches registrations
-//     keyed by buffer address so repeated I/O from the same buffers (the
-//     common MPI pattern) pays the pinning cost once.
-type DAFSDriver struct {
-	client *dafs.Client
+// NewDAFSDriver binds MPI-IO to one DAFS session: the width-1 striping,
+// whose identity layout makes every request exactly one operation on the
+// session.
+func NewDAFSDriver(client *dafs.Client) *StripedDAFSDriver {
+	return NewStripedDAFSDriver([]*dafs.Client{client}, layout.Striping{Width: 1})
+}
 
-	// DirectThreshold is the largest request served inline. It defaults
-	// to the session's MaxInline and may be lowered for ablations.
-	DirectThreshold int
+func mapDafsErr(err error) error {
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, dafs.ErrNoEnt):
+		return ErrNoEnt
+	case errors.Is(err, dafs.ErrExist):
+		return ErrExist
+	default:
+		return fmt.Errorf("mpiio: dafs: %w", err)
+	}
+}
+
+// regCache is the DAFS driver's registration cache: direct I/O needs the
+// user buffer registered with the NIC, which costs real CPU time, so
+// registrations are cached keyed by buffer address and repeated I/O from
+// the same buffers (the common MPI pattern) pays the pinning cost once.
+// All sessions of a pool share the client's one NIC, so one registration
+// serves every per-server fragment of a request.
+type regCache struct {
+	nic *via.NIC
+
 	// RegCache enables the registration cache (default on).
 	RegCache bool
 
@@ -44,157 +56,57 @@ type regEntry struct {
 	n   int
 }
 
-// NewDAFSDriver wraps an established DAFS session.
-func NewDAFSDriver(client *dafs.Client) *DAFSDriver {
-	return &DAFSDriver{
-		client:          client,
-		DirectThreshold: client.MaxInline(),
-		RegCache:        true,
-		cache:           make(map[uintptr]*regEntry),
-		cacheCap:        64,
-	}
-}
-
-// Client returns the underlying session.
-func (d *DAFSDriver) Client() *dafs.Client { return d.client }
-
-// Tracer returns the tracer the driver's session records to (nil when
-// tracing is off). The MPI-IO layer uses it to open per-operation spans.
-func (d *DAFSDriver) Tracer() *trace.Tracer { return d.client.Tracer() }
-
-// Name implements Driver.
-func (d *DAFSDriver) Name() string { return "dafs" }
-
-// Delete implements Driver.
-func (d *DAFSDriver) Delete(p *sim.Proc, name string) error {
-	return mapDafsErr(d.client.Remove(p, name))
-}
-
-// Open implements Driver.
-func (d *DAFSDriver) Open(p *sim.Proc, name string, mode int) (Handle, error) {
-	if err := checkAccessMode(mode); err != nil {
-		return nil, err
-	}
-	c := d.client
-	fh, _, err := c.Lookup(p, name)
-	switch {
-	case err == nil:
-		if mode&ModeExcl != 0 {
-			return nil, ErrExist
-		}
-	case errors.Is(err, dafs.ErrNoEnt) && mode&ModeCreate != 0:
-		fh, _, err = c.Create(p, name)
-		if err != nil {
-			return nil, mapDafsErr(err)
-		}
-	default:
-		return nil, mapDafsErr(err)
-	}
-	return &dafsHandle{drv: d, fh: fh, name: name, mode: mode}, nil
-}
-
-func mapDafsErr(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, dafs.ErrNoEnt):
-		return ErrNoEnt
-	case errors.Is(err, dafs.ErrExist):
-		return ErrExist
-	default:
-		return fmt.Errorf("mpiio: dafs: %w", err)
-	}
+func newRegCache(nic *via.NIC) *regCache {
+	return &regCache{nic: nic, RegCache: true, cache: make(map[uintptr]*regEntry), cacheCap: 64}
 }
 
 // region returns a registration covering buf, from the cache when enabled.
-func (d *DAFSDriver) region(p *sim.Proc, buf []byte) *via.Region {
-	nic := d.client.NIC()
-	if !d.RegCache {
+func (rc *regCache) region(p *sim.Proc, buf []byte) *via.Region {
+	nic := rc.nic
+	if !rc.RegCache {
 		return nic.Register(p, buf)
 	}
 	key := reflect.ValueOf(buf).Pointer()
-	if e, ok := d.cache[key]; ok && e.n >= len(buf) && e.reg.Valid() {
-		d.RegHits++
+	if e, ok := rc.cache[key]; ok && e.n >= len(buf) && e.reg.Valid() {
+		rc.RegHits++
 		return e.reg
 	} else if ok {
 		nic.Deregister(p, e.reg)
-		delete(d.cache, key)
-		for i, k := range d.order {
+		delete(rc.cache, key)
+		for i, k := range rc.order {
 			if k == key {
-				d.order = append(d.order[:i], d.order[i+1:]...)
+				rc.order = append(rc.order[:i], rc.order[i+1:]...)
 				break
 			}
 		}
 	}
-	d.RegMisses++
-	if len(d.order) >= d.cacheCap {
-		victim := d.order[0]
-		d.order = d.order[1:]
-		if e := d.cache[victim]; e != nil {
+	rc.RegMisses++
+	if len(rc.order) >= rc.cacheCap {
+		victim := rc.order[0]
+		rc.order = rc.order[1:]
+		if e := rc.cache[victim]; e != nil {
 			nic.Deregister(p, e.reg)
 		}
-		delete(d.cache, victim)
+		delete(rc.cache, victim)
 	}
 	reg := nic.Register(p, buf)
-	d.cache[key] = &regEntry{reg: reg, n: len(buf)}
-	d.order = append(d.order, key)
+	rc.cache[key] = &regEntry{reg: reg, n: len(buf)}
+	rc.order = append(rc.order, key)
 	return reg
 }
 
 // release returns a registration obtained from region; with the cache on it
 // stays pinned for reuse.
-func (d *DAFSDriver) release(p *sim.Proc, reg *via.Region) {
-	if !d.RegCache {
-		d.client.NIC().Deregister(p, reg)
+func (rc *regCache) release(p *sim.Proc, reg *via.Region) {
+	if !rc.RegCache {
+		rc.nic.Deregister(p, reg)
 	}
-}
-
-type dafsHandle struct {
-	drv    *DAFSDriver
-	fh     dafs.FH
-	name   string
-	mode   int
-	closed bool
-}
-
-func (h *dafsHandle) check(off int64, write bool) error {
-	if h.closed {
-		return ErrClosed
-	}
-	if off < 0 {
-		return ErrNegative
-	}
-	if write && h.mode&ModeRdOnly != 0 {
-		return ErrReadOnly
-	}
-	if !write && h.mode&ModeWrOnly != 0 {
-		return ErrWriteOnly
-	}
-	return nil
-}
-
-// ReadContig implements Handle.
-func (h *dafsHandle) ReadContig(p *sim.Proc, off int64, buf []byte) (int, error) {
-	op, err := h.StartRead(p, off, buf)
-	if err != nil {
-		return 0, err
-	}
-	return op.Wait(p)
-}
-
-// WriteContig implements Handle.
-func (h *dafsHandle) WriteContig(p *sim.Proc, off int64, buf []byte) (int, error) {
-	op, err := h.StartWrite(p, off, buf)
-	if err != nil {
-		return 0, err
-	}
-	return op.Wait(p)
 }
 
 // dafsOp adapts a dafs.IO (plus optional registration release).
 type dafsOp struct {
 	io  *dafs.IO
-	drv *DAFSDriver
+	rc  *regCache
 	reg *via.Region
 }
 
@@ -202,173 +114,7 @@ type dafsOp struct {
 func (o *dafsOp) Wait(p *sim.Proc) (int, error) {
 	n, err := o.io.Wait(p)
 	if o.reg != nil {
-		o.drv.release(p, o.reg)
+		o.rc.release(p, o.reg)
 	}
 	return n, mapDafsErr(err)
 }
-
-// StartRead implements Handle.
-func (h *dafsHandle) StartRead(p *sim.Proc, off int64, buf []byte) (AsyncOp, error) {
-	if err := h.check(off, false); err != nil {
-		return nil, err
-	}
-	if len(buf) == 0 {
-		return doneOp{}, nil
-	}
-	c := h.drv.client
-	if len(buf) <= h.drv.DirectThreshold {
-		io, err := c.StartRead(p, h.fh, off, buf)
-		if err != nil {
-			return nil, mapDafsErr(err)
-		}
-		return &dafsOp{io: io, drv: h.drv}, nil
-	}
-	reg := h.drv.region(p, buf)
-	io, err := c.StartReadDirect(p, h.fh, off, reg, 0, len(buf))
-	if err != nil {
-		h.drv.release(p, reg)
-		return nil, mapDafsErr(err)
-	}
-	return &dafsOp{io: io, drv: h.drv, reg: reg}, nil
-}
-
-// StartWrite implements Handle.
-func (h *dafsHandle) StartWrite(p *sim.Proc, off int64, buf []byte) (AsyncOp, error) {
-	if err := h.check(off, true); err != nil {
-		return nil, err
-	}
-	if len(buf) == 0 {
-		return doneOp{}, nil
-	}
-	c := h.drv.client
-	if len(buf) <= h.drv.DirectThreshold {
-		io, err := c.StartWrite(p, h.fh, off, buf)
-		if err != nil {
-			return nil, mapDafsErr(err)
-		}
-		return &dafsOp{io: io, drv: h.drv}, nil
-	}
-	reg := h.drv.region(p, buf)
-	io, err := c.StartWriteDirect(p, h.fh, off, reg, 0, len(buf))
-	if err != nil {
-		h.drv.release(p, reg)
-		return nil, mapDafsErr(err)
-	}
-	return &dafsOp{io: io, drv: h.drv, reg: reg}, nil
-}
-
-// startList issues the segment list as DAFS batch operations: the whole
-// buffer is registered once (through the cache) and each batch chunk moves
-// with a single request plus a single RDMA.
-func (h *dafsHandle) startList(p *sim.Proc, segs []Segment, buf []byte, write bool) (AsyncOp, error) {
-	if err := h.check(0, write); err != nil {
-		return nil, err
-	}
-	if len(buf) == 0 {
-		return doneOp{}, nil
-	}
-	return startDafsList(p, h.drv, h.drv.client, h.fh, segs, buf, write)
-}
-
-// startDafsList is the session-level batch list issue shared by the
-// single-server handle and the striped handle's width-1 delegation: buf is
-// registered once through d's cache and each batch chunk moves with a
-// single request plus a single RDMA on c.
-func startDafsList(p *sim.Proc, d *DAFSDriver, c *dafs.Client, fh dafs.FH, segs []Segment, buf []byte, write bool) (AsyncOp, error) {
-	reg := d.region(p, buf)
-	maxSegs := c.MaxBatch()
-	var ops multiOp
-	specs := make([]dafs.SegSpec, 0, min(len(segs), maxSegs))
-	pos := 0
-	chunkStart := 0
-	flush := func() error {
-		if len(specs) == 0 {
-			return nil
-		}
-		var io *dafs.IO
-		var err error
-		if write {
-			io, err = c.StartWriteBatch(p, fh, specs, reg, chunkStart)
-		} else {
-			io, err = c.StartReadBatch(p, fh, specs, reg, chunkStart)
-		}
-		if err != nil {
-			return mapDafsErr(err)
-		}
-		ops = append(ops, &dafsOp{io: io, drv: d})
-		specs = specs[:0]
-		chunkStart = pos
-		return nil
-	}
-	for _, s := range segs {
-		specs = append(specs, dafs.SegSpec{Off: s.Off, Len: int(s.Len)})
-		pos += int(s.Len)
-		if len(specs) == maxSegs {
-			if err := flush(); err != nil {
-				d.release(p, reg)
-				return nil, err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		d.release(p, reg)
-		return nil, err
-	}
-	// Release the registration once, after the last chunk completes.
-	last := len(ops) - 1
-	ops[last] = &dafsOp{io: ops[last].(*dafsOp).io, drv: d, reg: reg}
-	return ops, nil
-}
-
-// StartReadList implements ListHandle via DAFS batch reads.
-func (h *dafsHandle) StartReadList(p *sim.Proc, segs []Segment, buf []byte) (AsyncOp, error) {
-	return h.startList(p, segs, buf, false)
-}
-
-// StartWriteList implements ListHandle via DAFS batch writes.
-func (h *dafsHandle) StartWriteList(p *sim.Proc, segs []Segment, buf []byte) (AsyncOp, error) {
-	return h.startList(p, segs, buf, true)
-}
-
-// Size implements Handle.
-func (h *dafsHandle) Size(p *sim.Proc) (int64, error) {
-	if h.closed {
-		return 0, ErrClosed
-	}
-	attr, err := h.drv.client.Getattr(p, h.fh)
-	return attr.Size, mapDafsErr(err)
-}
-
-// Resize implements Handle.
-func (h *dafsHandle) Resize(p *sim.Proc, n int64) error {
-	if h.closed {
-		return ErrClosed
-	}
-	if n < 0 {
-		return ErrNegative
-	}
-	return mapDafsErr(h.drv.client.Setattr(p, h.fh, n))
-}
-
-// Sync implements Handle.
-func (h *dafsHandle) Sync(p *sim.Proc) error {
-	if h.closed {
-		return ErrClosed
-	}
-	return mapDafsErr(h.drv.client.Fsync(p, h.fh))
-}
-
-// Close implements Handle.
-func (h *dafsHandle) Close(p *sim.Proc) error {
-	if h.closed {
-		return nil
-	}
-	h.closed = true
-	if h.mode&ModeDeleteOnClose != 0 {
-		return h.drv.Delete(p, h.name)
-	}
-	return nil
-}
-
-// Node implements Driver.
-func (d *DAFSDriver) Node() *fabric.Node { return d.client.Node() }

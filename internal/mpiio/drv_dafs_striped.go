@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"dafsio/internal/dafs"
+	"dafsio/internal/fabric"
 	"dafsio/internal/layout"
 	"dafsio/internal/metrics"
 	"dafsio/internal/sim"
@@ -16,10 +17,10 @@ import (
 // server — with a layout.Striping policy deciding which server holds which
 // bytes. A contiguous request is mapped to per-server stripe fragments,
 // every fragment is issued as a nonblocking DAFS operation (inline or
-// direct per fragment, same discipline as the single-server driver), and
-// the completions are aggregated: writes sum their counts, reads report
-// the contiguous prefix so EOF mid-stripe keeps POSIX short-read
-// semantics. Each server stores one stripe object under the file's name.
+// direct per fragment), and the completions are aggregated: writes sum
+// their counts, reads report the contiguous prefix so EOF mid-stripe keeps
+// POSIX short-read semantics. Each server stores one stripe object under
+// the file's name.
 //
 // With Replicas > 1 the driver adds ROMIO/ADIO-style multi-backend
 // dispatch policy on top of the layout's rotated replica placement:
@@ -32,19 +33,25 @@ import (
 // wrapping dafs.ErrAllReplicasDown.
 //
 // With Width == 1 the layout is the identity mapping and every request
-// becomes exactly the operation the plain DAFSDriver would issue, so the
-// single-server tables are the stripes=1 special case of this driver.
-// With Replicas <= 1 and no failures, every code path issues exactly the
+// becomes exactly one operation on the single session: NewDAFSDriver is
+// that case, and the single-server tables run through it. With
+// Replicas <= 1 and no failures, every code path issues exactly the
 // operations the unreplicated driver did, in the same order.
 //
-// The embedded DAFSDriver (over the pool's first session) supplies the
-// transfer-discipline knobs and the registration cache; all sessions of a
-// pool share the client's one NIC, so one registration serves every
-// per-server fragment of a request.
+// The transfer discipline and the registration cache are the two policies
+// the paper's implementation section is about: fragments up to
+// DirectThreshold bytes go inline (data inside the message, one copy per
+// end), larger ones use direct I/O (server-driven RDMA into registered
+// client memory) through the embedded registration cache.
 type StripedDAFSDriver struct {
-	*DAFSDriver
+	*regCache
 	clients  []*dafs.Client
 	striping layout.Striping
+
+	// DirectThreshold is the largest fragment served inline. It defaults
+	// to the smallest MaxInline of the pool and may be lowered for
+	// ablations.
+	DirectThreshold int
 
 	// Retry governs session recovery: after a failure the driver redials
 	// the dead server with capped exponential backoff in simulated time.
@@ -72,6 +79,7 @@ type StripedDAFSDriver struct {
 	down     []bool                  // per server: session currently unusable
 	excluded []bool                  // per server: missed a write, stale for reads
 	gaveUp   []bool                  // per server: recovery exhausted, permanently dead
+	sessErr  []error                 // per server: the session failure that last marked it down
 	episode  []*sim.Future[struct{}] // per server: in-progress recovery, nil when none
 	epoch    []int                   // per server: recovery episode counter
 	healing  []*sim.Future[struct{}] // per server: in-progress re-silver, nil when none
@@ -137,9 +145,10 @@ func NewStripedDAFSDriver(clients []*dafs.Client, st layout.Striping) *StripedDA
 		panic(fmt.Sprintf("mpiio: %d sessions for stripe width %d", len(clients), st.Width))
 	}
 	d := &StripedDAFSDriver{
-		DAFSDriver: NewDAFSDriver(clients[0]),
-		clients:    clients,
-		striping:   st,
+		regCache:        newRegCache(clients[0].NIC()),
+		clients:         clients,
+		striping:        st,
+		DirectThreshold: clients[0].MaxInline(),
 		// Two full collective fan-outs' worth of staging windows stay
 		// pinned between operations; anything beyond that is a burst and
 		// is returned to the host at putStage time.
@@ -148,6 +157,7 @@ func NewStripedDAFSDriver(clients []*dafs.Client, st layout.Striping) *StripedDA
 		down:         make([]bool, st.Width),
 		excluded:     make([]bool, st.Width),
 		gaveUp:       make([]bool, st.Width),
+		sessErr:      make([]error, st.Width),
 		episode:      make([]*sim.Future[struct{}], st.Width),
 		epoch:        make([]int, st.Width),
 		healing:      make([]*sim.Future[struct{}], st.Width),
@@ -176,6 +186,13 @@ func (d *StripedDAFSDriver) Clients() []*dafs.Client { return d.clients }
 // Striping returns the placement policy.
 func (d *StripedDAFSDriver) Striping() layout.Striping { return d.striping }
 
+// Node implements Driver.
+func (d *StripedDAFSDriver) Node() *fabric.Node { return d.clients[0].Node() }
+
+// Tracer returns the tracer the driver's sessions record to (nil when
+// tracing is off). The MPI-IO layer uses it to open per-operation spans.
+func (d *StripedDAFSDriver) Tracer() *trace.Tracer { return d.clients[0].Tracer() }
+
 // Name implements Driver.
 func (d *StripedDAFSDriver) Name() string {
 	if d.striping.Width == 1 {
@@ -194,16 +211,20 @@ func isSessionErr(err error) bool {
 	return errors.Is(err, dafs.ErrSession)
 }
 
-// allDown builds the operation-level error for a fragment with no usable
-// replica left, wrapping both dafs.ErrAllReplicasDown and (when known) the
-// last session failure so either sentinel matches. This is a terminal
-// condition, so the driver's flight ring is dumped for the postmortem.
-func (d *StripedDAFSDriver) allDown(last error) error {
+// allDown builds the operation-level error for primary server srv when no
+// replica is usable, wrapping dafs.ErrAllReplicasDown and (when known) the
+// session failure recorded against its replicas, so either sentinel
+// matches. This is a terminal condition, so the driver's flight ring is
+// dumped for the postmortem.
+func (d *StripedDAFSDriver) allDown(srv int) error {
 	d.m.flight.Dump("mpiio: " + dafs.ErrAllReplicasDown.Error())
-	if last == nil {
-		return fmt.Errorf("mpiio: %w", dafs.ErrAllReplicasDown)
+	st := d.striping
+	for r := 0; r < st.R(); r++ {
+		if last := d.sessErr[st.ReplicaServer(srv, r)]; last != nil {
+			return fmt.Errorf("mpiio: %w: %w", dafs.ErrAllReplicasDown, last)
+		}
 	}
-	return fmt.Errorf("mpiio: %w: %w", dafs.ErrAllReplicasDown, last)
+	return fmt.Errorf("mpiio: %w", dafs.ErrAllReplicasDown)
 }
 
 // exclude marks server t stale for read-any: it missed an acked write, so
@@ -220,17 +241,18 @@ func (d *StripedDAFSDriver) exclude(t int) {
 // kernel returns the simulation kernel the pool runs on.
 func (d *StripedDAFSDriver) kernel() *sim.Kernel { return d.clients[0].NIC().Provider().K }
 
-// noteFailure records a session failure on server s. The first failure of
-// a session marks the server down and, when a retry policy is set, spawns
-// a recovery process that redials the server with capped exponential
-// backoff; concurrent failures of the same session (every in-flight op on
-// it fails at once) collapse into one episode, and failures of an already
-// replaced session are ignored.
-func (d *StripedDAFSDriver) noteFailure(p *sim.Proc, s int, failed *dafs.Client) {
+// noteFailure records a session failure err on server s. The first failure
+// of a session marks the server down, keeps err for allDown to wrap and,
+// when a retry policy is set, spawns a recovery process that redials the
+// server with capped exponential backoff; concurrent failures of the same
+// session (every in-flight op on it fails at once) collapse into one
+// episode, and failures of an already replaced session are ignored.
+func (d *StripedDAFSDriver) noteFailure(p *sim.Proc, s int, failed *dafs.Client, err error) {
 	if d.clients[s] != failed || d.down[s] {
 		return
 	}
 	d.down[s] = true
+	d.sessErr[s] = err
 	d.m.failovers.Inc()
 	d.m.down.Add(1)
 	d.m.flight.Note(p.Now(), "failover", "", int64(s), 0)
@@ -369,7 +391,7 @@ func (d *StripedDAFSDriver) Open(p *sim.Proc, name string, mode int) (Handle, er
 	st := d.striping
 	W, R := st.Width, st.R()
 	lookups := make([][]*dafs.NameOp, W)
-	var startErr, lastSess error
+	var startErr error
 	skipped := false
 issue:
 	for t := 0; t < W; t++ {
@@ -383,8 +405,8 @@ issue:
 			op, err := c.StartLookup(p, d.objName(name, r))
 			if err != nil {
 				if isSessionErr(err) {
-					d.noteFailure(p, t, c)
-					lastSess, skipped = err, true
+					d.noteFailure(p, t, c, err)
+					skipped = true
 					continue issue
 				}
 				startErr = err
@@ -414,8 +436,8 @@ issue:
 			case errors.Is(err, dafs.ErrNoEnt) && mode&ModeCreate != 0:
 				missing = append(missing, slot{t, r})
 			case isSessionErr(err):
-				d.noteFailure(p, t, d.clients[t])
-				lastSess, skipped = err, true
+				d.noteFailure(p, t, d.clients[t], err)
+				skipped = true
 			default:
 				if opErr == nil {
 					opErr = err
@@ -443,8 +465,8 @@ issue:
 			op, err := c.StartCreate(p, d.objName(name, sl.r))
 			if err != nil {
 				if isSessionErr(err) {
-					d.noteFailure(p, sl.t, c)
-					lastSess, skipped = err, true
+					d.noteFailure(p, sl.t, c, err)
+					skipped = true
 					continue
 				}
 				startErr = err
@@ -461,8 +483,8 @@ issue:
 			case err == nil:
 				fhs[missing[j].t][missing[j].r] = fh
 			case isSessionErr(err):
-				d.noteFailure(p, missing[j].t, d.clients[missing[j].t])
-				lastSess, skipped = err, true
+				d.noteFailure(p, missing[j].t, d.clients[missing[j].t], err)
+				skipped = true
 			default:
 				if opErr == nil {
 					opErr = err
@@ -487,7 +509,7 @@ issue:
 				}
 			}
 			if !ok {
-				return nil, d.allDown(lastSess)
+				return nil, d.allDown(s)
 			}
 		}
 	}
@@ -527,7 +549,7 @@ issue:
 			op, err := c.StartRemove(p, d.objName(name, r))
 			if err != nil {
 				if isSessionErr(err) {
-					d.noteFailure(p, t, c)
+					d.noteFailure(p, t, c, err)
 					continue issue
 				}
 				startErr = err
@@ -547,7 +569,7 @@ issue:
 			waited++
 			missing++
 		case isSessionErr(err):
-			d.noteFailure(p, w.t, w.c)
+			d.noteFailure(p, w.t, w.c, err)
 		case opErr == nil:
 			waited++
 			opErr = err
@@ -579,29 +601,13 @@ type stripedHandle struct {
 	shadow *stripedHandle
 }
 
-func (h *stripedHandle) check(off int64, write bool) error {
-	if h.closed {
-		return ErrClosed
-	}
-	if off < 0 {
-		return ErrNegative
-	}
-	if write && h.mode&ModeRdOnly != 0 {
-		return ErrReadOnly
-	}
-	if !write && h.mode&ModeWrOnly != 0 {
-		return ErrWriteOnly
-	}
-	return nil
-}
-
 // issueFrag starts one fragment's transfer on session t, inline or
 // direct by the driver's threshold (the same discipline for every replica
 // of the fragment — they are byte-identical transfers to different
 // servers). t indexes the per-server dispatch counters.
 func (h *stripedHandle) issueFrag(p *sim.Proc, c *dafs.Client, t int, fh dafs.FH, f layout.Fragment, buf []byte, reg *via.Region, write bool) (*dafs.IO, error) {
-	h.drv.m.dispatch[t].Inc()
-	d := h.drv.DAFSDriver
+	d := h.drv
+	d.m.dispatch[t].Inc()
 	switch {
 	case int(f.Len) <= d.DirectThreshold && write:
 		return c.StartWrite(p, fh, f.Off, buf[f.BufOff:f.BufOff+f.Len])
@@ -635,7 +641,7 @@ func (h *stripedHandle) needReg(frags []layout.Fragment) bool {
 // replica. Fragments with no usable replica at issue time are deferred to
 // the failover path in Wait.
 func (h *stripedHandle) StartRead(p *sim.Proc, off int64, buf []byte) (AsyncOp, error) {
-	if err := h.check(off, false); err != nil {
+	if err := checkIO(h.closed, h.mode, off, false); err != nil {
 		return nil, err
 	}
 	if len(buf) == 0 {
@@ -658,7 +664,7 @@ func (h *stripedHandle) StartRead(p *sim.Proc, off int64, buf []byte) (AsyncOp, 
 			io, err := h.issueFrag(p, c, t, h.fhs[t][r], f, buf, reg, false)
 			if err != nil {
 				if isSessionErr(err) {
-					d.noteFailure(p, t, c)
+					d.noteFailure(p, t, c, err)
 					continue // next candidate replica
 				}
 				h.drainFrags(p, ops[:i])
@@ -667,7 +673,7 @@ func (h *stripedHandle) StartRead(p *sim.Proc, off int64, buf []byte) (AsyncOp, 
 				}
 				return nil, mapDafsErr(err)
 			}
-			ops[i] = fragOp{op: &dafsOp{io: io, drv: d.DAFSDriver}, c: c, t: t}
+			ops[i] = fragOp{op: &dafsOp{io: io}, c: c, t: t}
 			break
 		}
 	}
@@ -677,7 +683,7 @@ func (h *stripedHandle) StartRead(p *sim.Proc, off int64, buf []byte) (AsyncOp, 
 // StartWrite implements Handle: each fragment is issued to every usable
 // replica (write-all), all replicas of all fragments in flight at once.
 func (h *stripedHandle) StartWrite(p *sim.Proc, off int64, buf []byte) (AsyncOp, error) {
-	if err := h.check(off, true); err != nil {
+	if err := checkIO(h.closed, h.mode, off, true); err != nil {
 		return nil, err
 	}
 	if len(buf) == 0 {
@@ -703,7 +709,7 @@ func (h *stripedHandle) StartWrite(p *sim.Proc, off int64, buf []byte) (AsyncOp,
 			io, err := h.issueFrag(p, c, t, h.fhs[t][r], f, buf, reg, true)
 			if err != nil {
 				if isSessionErr(err) {
-					d.noteFailure(p, t, c)
+					d.noteFailure(p, t, c, err)
 					continue
 				}
 				for _, row := range ops[:i+1] {
@@ -714,7 +720,7 @@ func (h *stripedHandle) StartWrite(p *sim.Proc, off int64, buf []byte) (AsyncOp,
 				}
 				return nil, mapDafsErr(err)
 			}
-			ops[i][r] = fragOp{op: &dafsOp{io: io, drv: d.DAFSDriver}, c: c, t: t}
+			ops[i][r] = fragOp{op: &dafsOp{io: io}, c: c, t: t}
 		}
 	}
 	op := AsyncOp(&stripedWriteOp{h: h, frags: frags, ops: ops, buf: buf, reg: reg})
@@ -746,12 +752,12 @@ func (h *stripedHandle) drainFrags(p *sim.Proc, ops []fragOp) {
 // replica, and repeat on further failures. It returns the servers that
 // missed the fragment (to be excluded from read-any), or the terminal
 // error when every replica is gone.
-func (h *stripedHandle) retryWrite(p *sim.Proc, f layout.Fragment, buf []byte, reg *via.Region, lastErr error) ([]int, error) {
+func (h *stripedHandle) retryWrite(p *sim.Proc, f layout.Fragment, buf []byte, reg *via.Region) ([]int, error) {
 	d := h.drv
 	st := d.striping
 	for {
 		if !h.waitRecovery(p, f.Server, false) {
-			return nil, d.allDown(lastErr)
+			return nil, d.allDown(f.Server)
 		}
 		acked := false
 		missed := make([]int, 0, st.R())
@@ -764,15 +770,14 @@ func (h *stripedHandle) retryWrite(p *sim.Proc, f layout.Fragment, buf []byte, r
 			c := d.clients[t]
 			io, err := h.issueFrag(p, c, t, h.fhs[t][r], f, buf, reg, true)
 			if err == nil {
-				op := &dafsOp{io: io, drv: d.DAFSDriver}
+				op := &dafsOp{io: io}
 				_, err = op.Wait(p)
 			}
 			switch {
 			case err == nil:
 				acked = true
 			case isSessionErr(err):
-				d.noteFailure(p, t, c)
-				lastErr = err
+				d.noteFailure(p, t, c, err)
 				missed = append(missed, t)
 			default:
 				return nil, mapDafsErr(err)
@@ -786,11 +791,11 @@ func (h *stripedHandle) retryWrite(p *sim.Proc, f layout.Fragment, buf []byte, r
 
 // retryRead re-drives one fragment through read-any failover until some
 // replica serves it.
-func (h *stripedHandle) retryRead(p *sim.Proc, f layout.Fragment, buf []byte, reg *via.Region, lastErr error) (int, error) {
+func (h *stripedHandle) retryRead(p *sim.Proc, f layout.Fragment, buf []byte, reg *via.Region) (int, error) {
 	d := h.drv
 	for {
 		if !h.waitRecovery(p, f.Server, true) {
-			return 0, d.allDown(lastErr)
+			return 0, d.allDown(f.Server)
 		}
 		t, r, ok := h.pickRead(f)
 		if !ok {
@@ -799,7 +804,7 @@ func (h *stripedHandle) retryRead(p *sim.Proc, f layout.Fragment, buf []byte, re
 		c := d.clients[t]
 		io, err := h.issueFrag(p, c, t, h.fhs[t][r], f, buf, reg, false)
 		if err == nil {
-			op := &dafsOp{io: io, drv: d.DAFSDriver}
+			op := &dafsOp{io: io}
 			var n int
 			n, err = op.Wait(p)
 			if err == nil {
@@ -807,8 +812,7 @@ func (h *stripedHandle) retryRead(p *sim.Proc, f layout.Fragment, buf []byte, re
 			}
 		}
 		if isSessionErr(err) {
-			d.noteFailure(p, t, c)
-			lastErr = err
+			d.noteFailure(p, t, c, err)
 			continue
 		}
 		return 0, mapDafsErr(err)
@@ -835,7 +839,6 @@ func (o *stripedWriteOp) Wait(p *sim.Proc) (int, error) {
 	var firstErr error
 	for i, f := range o.frags {
 		acked := false
-		var sessErr error
 		missed := make([]int, 0, len(o.ops[i]))
 		for r := range o.ops[i] {
 			fo := o.ops[i][r]
@@ -848,8 +851,7 @@ func (o *stripedWriteOp) Wait(p *sim.Proc) (int, error) {
 			case err == nil:
 				acked = true
 			case isSessionErr(err):
-				d.noteFailure(p, fo.t, fo.c)
-				sessErr = err
+				d.noteFailure(p, fo.t, fo.c, err)
 				missed = append(missed, fo.t)
 			default:
 				if firstErr == nil {
@@ -861,7 +863,7 @@ func (o *stripedWriteOp) Wait(p *sim.Proc) (int, error) {
 			continue // hard failure: keep draining the remaining fragments
 		}
 		if !acked {
-			m, err := h.retryWrite(p, f, o.buf, o.reg, sessErr)
+			m, err := h.retryWrite(p, f, o.buf, o.reg)
 			if err != nil {
 				firstErr = err
 				continue
@@ -909,7 +911,7 @@ func (o *stripedReadOp) Wait(p *sim.Proc) (int, error) {
 			case err == nil:
 				counts[i] = n
 			case isSessionErr(err):
-				d.noteFailure(p, fo.t, fo.c)
+				d.noteFailure(p, fo.t, fo.c, err)
 				retry = true
 			default:
 				if firstErr == nil {
@@ -920,7 +922,7 @@ func (o *stripedReadOp) Wait(p *sim.Proc) (int, error) {
 		if !retry || firstErr != nil {
 			continue
 		}
-		n, err := h.retryRead(p, f, o.buf, o.reg, nil)
+		n, err := h.retryRead(p, f, o.buf, o.reg)
 		if err != nil {
 			firstErr = err
 			continue
@@ -982,7 +984,7 @@ func (h *stripedHandle) Size(p *sim.Proc) (int64, error) {
 		op, err := c.StartGetattr(p, h.fhs[t][r])
 		if err != nil {
 			if isSessionErr(err) {
-				d.noteFailure(p, t, c)
+				d.noteFailure(p, t, c, err)
 				continue
 			}
 			startErr = err
@@ -1003,7 +1005,7 @@ func (h *stripedHandle) Size(p *sim.Proc) (int64, error) {
 		case err == nil:
 			sizes[s] = attr.Size
 		case isSessionErr(err):
-			d.noteFailure(p, ops[s].t, ops[s].c)
+			d.noteFailure(p, ops[s].t, ops[s].c, err)
 			retry = append(retry, s)
 		default:
 			if opErr == nil {
@@ -1031,10 +1033,9 @@ func (h *stripedHandle) Size(p *sim.Proc) (int64, error) {
 // failover.
 func (h *stripedHandle) retryGetattr(p *sim.Proc, s int) (int64, error) {
 	d := h.drv
-	var lastErr error
 	for {
 		if !h.waitRecovery(p, s, true) {
-			return 0, d.allDown(lastErr)
+			return 0, d.allDown(s)
 		}
 		t, r, ok := h.pickRead(layout.Fragment{Server: s})
 		if !ok {
@@ -1050,8 +1051,7 @@ func (h *stripedHandle) retryGetattr(p *sim.Proc, s int) (int64, error) {
 			}
 		}
 		if isSessionErr(err) {
-			d.noteFailure(p, t, c)
-			lastErr = err
+			d.noteFailure(p, t, c, err)
 			continue
 		}
 		return 0, mapDafsErr(err)
@@ -1108,7 +1108,7 @@ func (h *stripedHandle) ackWave(p *sim.Proc, start func(c *dafs.Client, t, r int
 		c  *dafs.Client
 	}
 	ops := make([][]wop, W)
-	var startErr, lastSess error
+	var startErr error
 issue:
 	for t := 0; t < W; t++ {
 		ops[t] = make([]wop, R)
@@ -1120,8 +1120,7 @@ issue:
 			op, err := start(c, t, r)
 			if err != nil {
 				if isSessionErr(err) {
-					d.noteFailure(p, t, c)
-					lastSess = err
+					d.noteFailure(p, t, c, err)
 					continue issue
 				}
 				startErr = err
@@ -1145,8 +1144,7 @@ issue:
 			case err == nil:
 				acked[(t-r+W)%W] = true
 			case isSessionErr(err):
-				d.noteFailure(p, t, w.c)
-				lastSess = err
+				d.noteFailure(p, t, w.c, err)
 				missed[t] = true
 			default:
 				if opErr == nil {
@@ -1163,7 +1161,7 @@ issue:
 	}
 	for s := 0; s < W; s++ {
 		if !acked[s] {
-			return d.allDown(lastSess)
+			return d.allDown(s)
 		}
 	}
 	for t := 0; t < W; t++ {

@@ -52,7 +52,7 @@ func (d *StripedDAFSDriver) getStage(p *sim.Proc, n int64) *stageBuf {
 		size <<= 1
 	}
 	buf := make([]byte, size)
-	return &stageBuf{buf: buf, reg: d.client.NIC().Register(p, buf)}
+	return &stageBuf{buf: buf, reg: d.nic.Register(p, buf)}
 }
 
 // putStage returns a staging buffer to the pool, registration intact —
@@ -74,7 +74,7 @@ func (d *StripedDAFSDriver) putStage(p *sim.Proc, sb *stageBuf) {
 		}
 		victim := d.stagePool[smallest]
 		d.stagePool = append(d.stagePool[:smallest], d.stagePool[smallest+1:]...)
-		d.client.NIC().Deregister(p, victim.reg)
+		d.nic.Deregister(p, victim.reg)
 	}
 	d.m.stagePool.Set(int64(len(d.stagePool)))
 }
@@ -112,7 +112,7 @@ func (h *stripedHandle) StartWriteList(p *sim.Proc, segs []Segment, buf []byte) 
 }
 
 func (h *stripedHandle) startStripedList(p *sim.Proc, segs []Segment, buf []byte, write bool) (AsyncOp, error) {
-	if err := h.check(0, write); err != nil {
+	if err := checkIO(h.closed, h.mode, 0, write); err != nil {
 		return nil, err
 	}
 	if len(buf) == 0 {
@@ -121,11 +121,11 @@ func (h *stripedHandle) startStripedList(p *sim.Proc, segs []Segment, buf []byte
 	d := h.drv
 	st := d.striping
 
-	// Width 1 (identity layout, R == 1) on a healthy session: exactly the
-	// single-server batch path, sharing the registration cache — so the
-	// unstriped tables stay the stripes=1 special case of this driver.
+	// Width 1 (identity layout, R == 1) on a healthy session: the whole
+	// list goes to the one server as batch requests straight from the
+	// user buffer, registered once through the cache — no staging.
 	if st.Width == 1 && !d.down[0] && h.fhs[0][0] != 0 {
-		return startDafsList(p, d.DAFSDriver, d.clients[0], h.fhs[0][0], segs, buf, write)
+		return startDafsList(p, d.regCache, d.clients[0], h.fhs[0][0], segs, buf, write)
 	}
 
 	asegs := make([]aggregate.Segment, len(segs))
@@ -174,10 +174,10 @@ func (h *stripedHandle) startStripedList(p *sim.Proc, segs []Segment, buf []byte
 					continue // deferred: Wait's retry path covers the plan
 				}
 				c := d.clients[t]
-				mo, err := issuePlanBatch(p, d.DAFSDriver, c, h.fhs[t][r], pl.Segs, sbs[i].reg, true)
+				mo, err := issuePlanBatch(p, c, h.fhs[t][r], pl.Segs, sbs[i].reg, true)
 				if err != nil {
 					if isSessionErr(err) {
-						d.noteFailure(p, t, c)
+						d.noteFailure(p, t, c, err)
 						mo.Wait(p) // drain the partial chunk set
 						continue
 					}
@@ -206,10 +206,10 @@ func (h *stripedHandle) startStripedList(p *sim.Proc, segs []Segment, buf []byte
 				break // deferred: Wait's retry path handles it
 			}
 			c := d.clients[t]
-			mo, err := issuePlanBatch(p, d.DAFSDriver, c, h.fhs[t][r], pl.Segs, sbs[i].reg, false)
+			mo, err := issuePlanBatch(p, c, h.fhs[t][r], pl.Segs, sbs[i].reg, false)
 			if err != nil {
 				if isSessionErr(err) {
-					d.noteFailure(p, t, c)
+					d.noteFailure(p, t, c, err)
 					mo.Wait(p)
 					continue // next candidate replica
 				}
@@ -232,7 +232,7 @@ func (h *stripedHandle) startStripedList(p *sim.Proc, segs []Segment, buf []byte
 // issuePlanBatch chunks one server plan's segment list by the session's
 // batch capacity and starts every chunk. On error the already-started
 // chunks are returned for the caller to drain.
-func issuePlanBatch(p *sim.Proc, d *DAFSDriver, c *dafs.Client, fh dafs.FH, segs []aggregate.Seg, reg *via.Region, write bool) (multiOp, error) {
+func issuePlanBatch(p *sim.Proc, c *dafs.Client, fh dafs.FH, segs []aggregate.Seg, reg *via.Region, write bool) (multiOp, error) {
 	maxSegs := c.MaxBatch()
 	var ops multiOp
 	specs := make([]dafs.SegSpec, 0, min(len(segs), maxSegs))
@@ -252,7 +252,7 @@ func issuePlanBatch(p *sim.Proc, d *DAFSDriver, c *dafs.Client, fh dafs.FH, segs
 		if err != nil {
 			return mapDafsErr(err)
 		}
-		ops = append(ops, &dafsOp{io: io, drv: d})
+		ops = append(ops, &dafsOp{io: io})
 		specs = specs[:0]
 		chunkStart = pos
 		return nil
@@ -272,6 +272,26 @@ func issuePlanBatch(p *sim.Proc, d *DAFSDriver, c *dafs.Client, fh dafs.FH, segs
 	return ops, nil
 }
 
+// startDafsList issues a whole segment list on one session as batch
+// requests: buf is registered once through rc and released after the last
+// chunk completes.
+func startDafsList(p *sim.Proc, rc *regCache, c *dafs.Client, fh dafs.FH, segs []Segment, buf []byte, write bool) (AsyncOp, error) {
+	osegs := make([]aggregate.Seg, len(segs))
+	for i, s := range segs {
+		osegs[i] = aggregate.Seg(s)
+	}
+	reg := rc.region(p, buf)
+	ops, err := issuePlanBatch(p, c, fh, osegs, reg, write)
+	if err != nil {
+		ops.Wait(p) // drain the partial chunk set
+		rc.release(p, reg)
+		return nil, err
+	}
+	last := len(ops) - 1
+	ops[last] = &dafsOp{io: ops[last].(*dafsOp).io, rc: rc, reg: reg}
+	return ops, nil
+}
+
 // stripedPlanOp is one replica's in-flight batch chunk set for one server
 // plan.
 type stripedPlanOp struct {
@@ -284,12 +304,12 @@ type stripedPlanOp struct {
 // until some replica acks the full batch, mirroring retryWrite at batch
 // grain. It returns the servers that missed the plan (to be excluded from
 // read-any), or the terminal error when every replica is gone.
-func (h *stripedHandle) retryPlanWrite(p *sim.Proc, pl aggregate.ServerPlan, reg *via.Region, lastErr error) ([]int, error) {
+func (h *stripedHandle) retryPlanWrite(p *sim.Proc, pl aggregate.ServerPlan, reg *via.Region) ([]int, error) {
 	d := h.drv
 	st := d.striping
 	for {
 		if !h.waitRecovery(p, pl.Server, false) {
-			return nil, d.allDown(lastErr)
+			return nil, d.allDown(pl.Server)
 		}
 		acked := false
 		missed := make([]int, 0, st.R())
@@ -300,7 +320,7 @@ func (h *stripedHandle) retryPlanWrite(p *sim.Proc, pl aggregate.ServerPlan, reg
 				continue
 			}
 			c := d.clients[t]
-			mo, err := issuePlanBatch(p, d.DAFSDriver, c, h.fhs[t][r], pl.Segs, reg, true)
+			mo, err := issuePlanBatch(p, c, h.fhs[t][r], pl.Segs, reg, true)
 			if err == nil {
 				_, err = mo.Wait(p)
 			} else {
@@ -310,8 +330,7 @@ func (h *stripedHandle) retryPlanWrite(p *sim.Proc, pl aggregate.ServerPlan, reg
 			case err == nil:
 				acked = true
 			case isSessionErr(err):
-				d.noteFailure(p, t, c)
-				lastErr = err
+				d.noteFailure(p, t, c, err)
 				missed = append(missed, t)
 			default:
 				return nil, mapDafsErr(err)
@@ -325,18 +344,18 @@ func (h *stripedHandle) retryPlanWrite(p *sim.Proc, pl aggregate.ServerPlan, reg
 
 // retryPlanRead re-drives one whole server plan through read-any failover
 // until some replica serves the full batch.
-func (h *stripedHandle) retryPlanRead(p *sim.Proc, pl aggregate.ServerPlan, reg *via.Region, lastErr error) (int, error) {
+func (h *stripedHandle) retryPlanRead(p *sim.Proc, pl aggregate.ServerPlan, reg *via.Region) (int, error) {
 	d := h.drv
 	for {
 		if !h.waitRecovery(p, pl.Server, true) {
-			return 0, d.allDown(lastErr)
+			return 0, d.allDown(pl.Server)
 		}
 		t, r, ok := h.pickRead(layout.Fragment{Server: pl.Server})
 		if !ok {
 			continue
 		}
 		c := d.clients[t]
-		mo, err := issuePlanBatch(p, d.DAFSDriver, c, h.fhs[t][r], pl.Segs, reg, false)
+		mo, err := issuePlanBatch(p, c, h.fhs[t][r], pl.Segs, reg, false)
 		if err == nil {
 			var n int
 			n, err = mo.Wait(p)
@@ -347,8 +366,7 @@ func (h *stripedHandle) retryPlanRead(p *sim.Proc, pl aggregate.ServerPlan, reg 
 			mo.Wait(p)
 		}
 		if isSessionErr(err) {
-			d.noteFailure(p, t, c)
-			lastErr = err
+			d.noteFailure(p, t, c, err)
 			continue
 		}
 		return 0, mapDafsErr(err)
@@ -375,7 +393,6 @@ func (o *stripedListWriteOp) Wait(p *sim.Proc) (int, error) {
 	var firstErr error
 	for i, pl := range o.plans {
 		acked := false
-		var sessErr error
 		missed := make([]int, 0, len(o.ops[i]))
 		for r := range o.ops[i] {
 			po := o.ops[i][r]
@@ -388,8 +405,7 @@ func (o *stripedListWriteOp) Wait(p *sim.Proc) (int, error) {
 			case err == nil:
 				acked = true
 			case isSessionErr(err):
-				d.noteFailure(p, po.t, po.c)
-				sessErr = err
+				d.noteFailure(p, po.t, po.c, err)
 				missed = append(missed, po.t)
 			default:
 				if firstErr == nil {
@@ -401,7 +417,7 @@ func (o *stripedListWriteOp) Wait(p *sim.Proc) (int, error) {
 			continue // hard failure: keep draining the remaining plans
 		}
 		if !acked {
-			m, err := h.retryPlanWrite(p, pl, o.sbs[i].reg, sessErr)
+			m, err := h.retryPlanWrite(p, pl, o.sbs[i].reg)
 			if err != nil {
 				firstErr = err
 				continue
@@ -450,7 +466,7 @@ func (o *stripedListReadOp) Wait(p *sim.Proc) (int, error) {
 			case err == nil:
 				got = n
 			case isSessionErr(err):
-				d.noteFailure(p, po.t, po.c)
+				d.noteFailure(p, po.t, po.c, err)
 				retry = true
 			default:
 				if firstErr == nil {
@@ -459,7 +475,7 @@ func (o *stripedListReadOp) Wait(p *sim.Proc) (int, error) {
 			}
 		}
 		if retry && firstErr == nil {
-			n, err := h.retryPlanRead(p, pl, o.sbs[i].reg, nil)
+			n, err := h.retryPlanRead(p, pl, o.sbs[i].reg)
 			if err != nil {
 				firstErr = err
 				continue

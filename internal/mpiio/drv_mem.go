@@ -89,14 +89,8 @@ func (h *memHandle) charge(p *sim.Proc, n int) {
 
 // ReadContig implements Handle.
 func (h *memHandle) ReadContig(p *sim.Proc, off int64, buf []byte) (int, error) {
-	if h.closed {
-		return 0, ErrClosed
-	}
-	if off < 0 {
-		return 0, ErrNegative
-	}
-	if h.mode&ModeWrOnly != 0 {
-		return 0, ErrWriteOnly
+	if err := checkIO(h.closed, h.mode, off, false); err != nil {
+		return 0, err
 	}
 	n := h.f.ReadAt(buf, off)
 	h.charge(p, n)
@@ -105,14 +99,8 @@ func (h *memHandle) ReadContig(p *sim.Proc, off int64, buf []byte) (int, error) 
 
 // WriteContig implements Handle.
 func (h *memHandle) WriteContig(p *sim.Proc, off int64, buf []byte) (int, error) {
-	if h.closed {
-		return 0, ErrClosed
-	}
-	if off < 0 {
-		return 0, ErrNegative
-	}
-	if h.mode&ModeRdOnly != 0 {
-		return 0, ErrReadOnly
+	if err := checkIO(h.closed, h.mode, off, true); err != nil {
+		return 0, err
 	}
 	n := h.f.WriteAt(buf, off)
 	h.charge(p, n)

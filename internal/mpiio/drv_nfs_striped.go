@@ -12,15 +12,24 @@ import (
 
 // StripedNFSDriver binds MPI-IO to a pool of NFS mounts — one per server
 // — with the same layout.Striping fan-out the striped DAFS driver uses.
-// It exists to split the layout effect from the transport effect: striped
-// NFS gets the aggregate disk and link bandwidth of N servers, but every
-// fragment still pays the kernel-stack and copy costs of the NFS path,
-// while striped DAFS pays the user-level VIA costs. Comparing the two at
-// equal width isolates what striping buys versus what the transport buys.
+// Transfers are chunked to each mount's rsize/wsize and pipelined by the
+// NFS client; every byte crosses the kernel stack on both ends. At width 1
+// (NewNFSDriver) it is the paper's single-mount baseline. Wider, it splits
+// the layout effect from the transport effect: striped NFS gets the
+// aggregate disk and link bandwidth of N servers, but every fragment still
+// pays the kernel-stack and copy costs of the NFS path, while striped DAFS
+// pays the user-level VIA costs. Comparing the two at equal width isolates
+// what striping buys versus what the transport buys.
 // No replication: rank 0 objects only, like NFS deployments of the era.
 type StripedNFSDriver struct {
 	clients  []*nfs.Client
 	striping layout.Striping
+}
+
+// NewNFSDriver binds MPI-IO to one NFS mount — the paper's baseline
+// transport — as the width-1 striping.
+func NewNFSDriver(client *nfs.Client) *StripedNFSDriver {
+	return NewStripedNFSDriver([]*nfs.Client{client}, layout.Striping{Width: 1})
 }
 
 // NewStripedNFSDriver wraps a mount pool, one mount per server in layout
@@ -77,9 +86,6 @@ func (d *StripedNFSDriver) Open(p *sim.Proc, name string, mode int) (Handle, err
 	if mode&ModeExcl != 0 && found > 0 {
 		return nil, ErrExist
 	}
-	if found == 0 && mode&ModeCreate == 0 {
-		return nil, ErrNoEnt
-	}
 	for _, t := range missing {
 		fh, _, err := d.clients[t].Create(p, name)
 		if err != nil {
@@ -109,28 +115,25 @@ func (d *StripedNFSDriver) Delete(p *sim.Proc, name string) error {
 	return nil
 }
 
+func mapNfsErr(err error) error {
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, nfs.ErrNoEnt):
+		return ErrNoEnt
+	case errors.Is(err, nfs.ErrExist):
+		return ErrExist
+	default:
+		return fmt.Errorf("mpiio: nfs: %w", err)
+	}
+}
+
 type stripedNFSHandle struct {
 	drv    *StripedNFSDriver
 	fhs    []nfs.FH
 	name   string
 	mode   int
 	closed bool
-}
-
-func (h *stripedNFSHandle) check(off int64, write bool) error {
-	if h.closed {
-		return ErrClosed
-	}
-	if off < 0 {
-		return ErrNegative
-	}
-	if write && h.mode&ModeRdOnly != 0 {
-		return ErrReadOnly
-	}
-	if !write && h.mode&ModeWrOnly != 0 {
-		return ErrWriteOnly
-	}
-	return nil
 }
 
 // startFrags issues every fragment of a contiguous request on its mount,
@@ -196,7 +199,7 @@ func (o *stripedNFSOp) Wait(p *sim.Proc) (int, error) {
 
 // StartRead implements Handle.
 func (h *stripedNFSHandle) StartRead(p *sim.Proc, off int64, buf []byte) (AsyncOp, error) {
-	if err := h.check(off, false); err != nil {
+	if err := checkIO(h.closed, h.mode, off, false); err != nil {
 		return nil, err
 	}
 	if len(buf) == 0 {
@@ -207,7 +210,7 @@ func (h *stripedNFSHandle) StartRead(p *sim.Proc, off int64, buf []byte) (AsyncO
 
 // StartWrite implements Handle.
 func (h *stripedNFSHandle) StartWrite(p *sim.Proc, off int64, buf []byte) (AsyncOp, error) {
-	if err := h.check(off, true); err != nil {
+	if err := checkIO(h.closed, h.mode, off, true); err != nil {
 		return nil, err
 	}
 	if len(buf) == 0 {

@@ -6,6 +6,7 @@ import (
 
 	"dafsio/internal/cluster"
 	"dafsio/internal/layout"
+	"dafsio/internal/nfs"
 	"dafsio/internal/sim"
 )
 
@@ -64,5 +65,42 @@ func TestStripedNFSRoundTrip(t *testing.T) {
 	})
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStripedWidth1NFSEquivalence: at width 1 the striped NFS driver is the
+// single-mount NFS driver — the write, small read and large read of the
+// width-1 workload read back the written bytes in the simulated elapsed
+// time the separate single-mount driver measured, through NewNFSDriver and
+// an explicit width-1 NewStripedNFSDriver alike.
+func TestStripedWidth1NFSEquivalence(t *testing.T) {
+	const want = sim.Time(11931241)
+	for _, striped := range []bool{false, true} {
+		c := cluster.New(cluster.Config{Clients: 1, NFS: true})
+		var elapsed sim.Time
+		c.K.Spawn("app", func(p *sim.Proc) {
+			cl, err := c.MountNFS(p, 0, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			drv := NewNFSDriver(cl)
+			if striped {
+				drv = NewStripedNFSDriver([]*nfs.Client{cl}, layout.Striping{Width: 1})
+			}
+			f, err := Open(p, nil, drv, "e", ModeRdWr|ModeCreate, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			elapsed = width1Work(t, p, f)
+			f.Close(p)
+		})
+		if err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if elapsed != want {
+			t.Errorf("width-1 NFS driver (striped constructor %v) costs %v, want %v", striped, elapsed, want)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package mpiio
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"dafsio/internal/cluster"
@@ -141,32 +142,43 @@ func TestReadAnyFailsOverToReplica(t *testing.T) {
 
 // TestUnreplicatedCrashFailsFast: with replication 1 the crashed server's
 // stripes have no other copy — an extent touching it must fail with
-// ErrAllReplicasDown (after recovery is exhausted), while extents on the
-// survivors keep working.
+// ErrAllReplicasDown (after recovery is exhausted) that still wraps the
+// session failure (dafs.ErrSession), on the write that finds the server
+// dead and on every later operation, while extents on the survivors keep
+// working. servers=1 is the single-server driver, where nothing survives.
 func TestUnreplicatedCrashFailsFast(t *testing.T) {
-	const servers, replicas = 3, 1
 	const stripe = 4 << 10
-	failoverRig(t, servers, replicas, dafs.RetryPolicy{}, func(p *sim.Proc, f *File, drv *StripedDAFSDriver, c *cluster.Cluster) {
-		if _, err := f.WriteAt(p, 0, pattern(3*stripe)); err != nil {
-			t.Fatalf("healthy write: %v", err)
-		}
-		crashServer(c, 1)
-		// Stripe 1 lives only on the dead server.
-		if _, err := f.WriteAt(p, stripe, pattern(stripe)); !errors.Is(err, dafs.ErrAllReplicasDown) {
-			t.Fatalf("write to dead server: err=%v, want ErrAllReplicasDown", err)
-		}
-		if _, err := f.ReadAt(p, stripe, make([]byte, stripe)); !errors.Is(err, dafs.ErrAllReplicasDown) {
-			t.Fatalf("read from dead server: err=%v, want ErrAllReplicasDown", err)
-		}
-		// Stripe 0 (server 0) and stripe 2 (server 2) still work.
-		if _, err := f.WriteAt(p, 0, pattern(stripe)); err != nil {
-			t.Fatalf("write to survivor: %v", err)
-		}
-		buf := make([]byte, stripe)
-		if _, err := f.ReadAt(p, 2*stripe, buf); err != nil {
-			t.Fatalf("read from survivor: %v", err)
-		}
-	})
+	for _, servers := range []int{3, 1} {
+		t.Run(fmt.Sprintf("servers=%d", servers), func(t *testing.T) {
+			dead := servers / 2 // the server holding stripe 1 (or the only one)
+			failoverRig(t, servers, 1, dafs.RetryPolicy{}, func(p *sim.Proc, f *File, drv *StripedDAFSDriver, c *cluster.Cluster) {
+				if _, err := f.WriteAt(p, 0, pattern(3*stripe)); err != nil {
+					t.Errorf("healthy write: %v", err)
+					return
+				}
+				crashServer(c, dead)
+				_, err := f.WriteAt(p, stripe, pattern(stripe))
+				if !errors.Is(err, dafs.ErrAllReplicasDown) || !errors.Is(err, dafs.ErrSession) {
+					t.Errorf("write to dead server: err=%v, want ErrAllReplicasDown wrapping ErrSession", err)
+				}
+				_, err = f.ReadAt(p, stripe, make([]byte, stripe))
+				if !errors.Is(err, dafs.ErrAllReplicasDown) || !errors.Is(err, dafs.ErrSession) {
+					t.Errorf("read from dead server: err=%v, want ErrAllReplicasDown wrapping ErrSession", err)
+				}
+				if servers == 1 {
+					return
+				}
+				// Stripe 0 (server 0) and stripe 2 (server 2) still work.
+				if _, err := f.WriteAt(p, 0, pattern(stripe)); err != nil {
+					t.Errorf("write to survivor: %v", err)
+				}
+				buf := make([]byte, stripe)
+				if _, err := f.ReadAt(p, 2*stripe, buf); err != nil {
+					t.Errorf("read from survivor: %v", err)
+				}
+			})
+		})
+	}
 }
 
 // TestStripedWriteSurvivesServerRestart pins the fault.ServerRestart

@@ -204,7 +204,8 @@ func (rs *Reshape) migrateFile(p *sim.Proc, tb *tokenBucket, buf, ver []byte, h,
 }
 
 // Commit flips the driver onto the new layout: session pool, striping,
-// failure state, and every open handle's objects become the shadow's, the
+// transfer threshold, registration cache, staging pool, failure state,
+// and every open handle's objects become the shadow's, the
 // membership epoch advances, and dual-writes stop. Idempotent; purely
 // local (no I/O), so every participant of a shared file can commit the
 // moment the migrator reports success. Old sessions stay connected —
@@ -216,12 +217,14 @@ func (rs *Reshape) Commit(p *sim.Proc) {
 	}
 	rs.committed = true
 	d, sd := rs.d, rs.shadow
-	d.DAFSDriver = sd.DAFSDriver
+	d.regCache = sd.regCache
+	d.DirectThreshold = sd.DirectThreshold
 	d.clients = sd.clients
 	d.striping = sd.striping
 	d.down = sd.down
 	d.excluded = sd.excluded
 	d.gaveUp = sd.gaveUp
+	d.sessErr = sd.sessErr
 	d.episode = sd.episode
 	d.epoch = sd.epoch
 	d.healing = sd.healing

@@ -284,7 +284,7 @@ func (d *StripedDAFSDriver) objSize(p *sim.Proc, t int, fh dafs.FH) (int64, erro
 		}
 	}
 	if isSessionErr(err) {
-		d.noteFailure(p, t, c)
+		d.noteFailure(p, t, c, err)
 	}
 	return 0, err
 }
@@ -307,7 +307,7 @@ func (d *StripedDAFSDriver) objRead(p *sim.Proc, t int, fh dafs.FH, off int64, b
 		}
 	}
 	if isSessionErr(err) {
-		d.noteFailure(p, t, c)
+		d.noteFailure(p, t, c, err)
 	}
 	return 0, err
 }
@@ -329,7 +329,7 @@ func (d *StripedDAFSDriver) objWrite(p *sim.Proc, t int, fh dafs.FH, off int64, 
 		}
 	}
 	if isSessionErr(err) {
-		d.noteFailure(p, t, c)
+		d.noteFailure(p, t, c, err)
 	}
 	return err
 }

@@ -243,14 +243,13 @@ func TestStagePoolBoundedAfterBurst(t *testing.T) {
 }
 
 // TestStripedWidth1BatchEquivalence: at width 1 the striped handle's list
-// path delegates to the single-server batch machinery — same bytes AND the
-// same simulated elapsed time as the plain DAFSDriver.
+// path is the single-server batch machinery — the written bytes read back
+// and the simulated elapsed time is pinned to the value the separate
+// single-server driver measured on this workload, through both the
+// stripedListRig pool and NewDAFSDriver.
 func TestStripedWidth1BatchEquivalence(t *testing.T) {
-	type result struct {
-		elapsed sim.Time
-		read    []byte
-	}
-	work := func(p *sim.Proc, f *File) result {
+	const want = sim.Time(1301698)
+	work := func(p *sim.Proc, f *File) sim.Time {
 		f.SetView(0, Vector(64, 700, 2100))
 		data := pattern(64 * 700)
 		start := p.Now()
@@ -261,9 +260,13 @@ func TestStripedWidth1BatchEquivalence(t *testing.T) {
 		if _, err := f.ReadAt(p, 0, got); err != nil {
 			t.Error(err)
 		}
-		return result{elapsed: p.Now() - start, read: got}
+		elapsed := p.Now() - start
+		if !bytes.Equal(got, data) {
+			t.Error("width-1 batch read-back differs from the written data")
+		}
+		return elapsed
 	}
-	var striped, plain result
+	var striped, plain sim.Time
 	stripedListRig(t, 1, 1, dafs.RetryPolicy{}, nil,
 		func(p *sim.Proc, f *File, drv *StripedDAFSDriver, c *cluster.Cluster) {
 			striped = work(p, f)
@@ -271,10 +274,7 @@ func TestStripedWidth1BatchEquivalence(t *testing.T) {
 	batchRig(t, nil, func(p *sim.Proc, f *File, c *cluster.Cluster) {
 		plain = work(p, f)
 	})
-	if !bytes.Equal(striped.read, plain.read) {
-		t.Fatal("width-1 striped batch reads differ from unstriped")
-	}
-	if striped.elapsed != plain.elapsed {
-		t.Fatalf("width-1 striped batch elapsed %v != unstriped %v", striped.elapsed, plain.elapsed)
+	if striped != want || plain != want {
+		t.Fatalf("width-1 batch elapsed: stripedListRig %v, NewDAFSDriver %v, want %v", striped, plain, want)
 	}
 }

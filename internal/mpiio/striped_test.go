@@ -150,62 +150,69 @@ func TestStripedResize(t *testing.T) {
 	})
 }
 
+// width1Work is the width-1 pinning workload: a 300KB write that mixes
+// direct fragments with an inline tail, then a small (inline-path) read and
+// a large (direct-path) one. It returns the simulated elapsed time and
+// checks both reads against the written pattern.
+func width1Work(t *testing.T, p *sim.Proc, f *File) sim.Time {
+	const total = 300 << 10
+	data := pattern(total)
+	start := p.Now()
+	if _, err := f.WriteAt(p, 0, data); err != nil {
+		t.Error(err)
+		return 0
+	}
+	small := make([]byte, 1<<10)
+	if _, err := f.ReadAt(p, 512, small); err != nil {
+		t.Error(err)
+		return 0
+	}
+	got := make([]byte, total)
+	if _, err := f.ReadAt(p, 0, got); err != nil {
+		t.Error(err)
+		return 0
+	}
+	elapsed := p.Now() - start
+	if !bytes.Equal(small, data[512:512+len(small)]) || !bytes.Equal(got, data) {
+		t.Error("width-1 driver read back different bytes")
+	}
+	return elapsed
+}
+
 // TestStripedWidth1Equivalence: with one server the striped driver must be
-// operation-for-operation the unstriped driver — same data, same counts,
-// and the same simulated elapsed time.
+// operation-for-operation the single-server DAFS driver this repository
+// used to carry separately — same data, same counts, and the same
+// simulated elapsed time. The elapsed time is pinned to the value that
+// separate driver measured on this workload; NewDAFSDriver and an explicit
+// width-1 NewStripedDAFSDriver must both reproduce it exactly.
 func TestStripedWidth1Equivalence(t *testing.T) {
-	const total = 300 << 10 // mixes inline (tail) and direct fragments
-	run := func(striped bool) (sim.Time, []byte) {
+	const want = sim.Time(7040069)
+	for _, striped := range []bool{false, true} {
 		c := cluster.New(cluster.Config{Clients: 1, DAFS: true})
 		var elapsed sim.Time
-		got := make([]byte, total)
 		c.K.Spawn("app", func(p *sim.Proc) {
-			var drv Driver
 			cl, err := c.DialDAFS(p, 0, nil)
 			if err != nil {
 				t.Error(err)
 				return
 			}
+			drv := NewDAFSDriver(cl)
 			if striped {
 				drv = NewStripedDAFSDriver([]*dafs.Client{cl}, layout.Striping{Width: 1})
-			} else {
-				drv = NewDAFSDriver(cl)
 			}
 			f, err := Open(p, nil, drv, "e", ModeRdWr|ModeCreate, nil)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			start := p.Now()
-			data := pattern(total)
-			if _, err := f.WriteAt(p, 0, data); err != nil {
-				t.Error(err)
-				return
-			}
-			// A small (inline-path) I/O and a large (direct-path) one.
-			small := make([]byte, 1<<10)
-			if _, err := f.ReadAt(p, 512, small); err != nil {
-				t.Error(err)
-				return
-			}
-			if _, err := f.ReadAt(p, 0, got); err != nil {
-				t.Error(err)
-				return
-			}
-			elapsed = p.Now() - start
+			elapsed = width1Work(t, p, f)
 			f.Close(p)
 		})
 		if err := c.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return elapsed, got
-	}
-	et1, d1 := run(false)
-	et2, d2 := run(true)
-	if et1 != et2 {
-		t.Errorf("width-1 striped driver costs %v, unstriped %v", et2, et1)
-	}
-	if !bytes.Equal(d1, d2) {
-		t.Error("width-1 striped driver read different bytes")
+		if elapsed != want {
+			t.Errorf("width-1 DAFS driver (striped constructor %v) costs %v, want %v", striped, elapsed, want)
+		}
 	}
 }
