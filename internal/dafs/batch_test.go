@@ -73,6 +73,34 @@ func TestReadBatchShortAndBeyondEOF(t *testing.T) {
 	})
 }
 
+// A batch read crossing EOF RDMA-writes its whole length into the client's
+// region; right after the server staged another file's batch, the part
+// past EOF must still arrive as zeros, not as the other file's bytes.
+func TestReadBatchPastEOFDeliversZeros(t *testing.T) {
+	r := newRig(1, nil)
+	r.run(t, func(p *sim.Proc, c *Client) {
+		fa, _, _ := c.Create(p, "a")
+		src := c.NIC().Register(p, pattern(300, 9))
+		segs := []SegSpec{{Off: 0, Len: 100}, {Off: 1000, Len: 200}}
+		if n, err := c.WriteBatch(p, fa, segs, src, 0); err != nil || n != 300 {
+			t.Fatalf("write batch: n=%d err=%v", n, err)
+		}
+		fb, _, _ := c.Create(p, "b")
+		c.Write(p, fb, 0, pattern(150, 1))
+		dst := c.NIC().Register(p, bytes.Repeat([]byte{0xEE}, 300))
+		segs = []SegSpec{{Off: 100, Len: 100}, {Off: 500, Len: 200}}
+		n, err := c.ReadBatch(p, fb, segs, dst, 0)
+		if err != nil || n != 50 {
+			t.Fatalf("read batch across EOF: n=%d err=%v", n, err)
+		}
+		want := make([]byte, 300)
+		copy(want, pattern(150, 1)[100:])
+		if got := dst.Bytes(); !bytes.Equal(got, want) {
+			t.Errorf("client region after a batch read across EOF:\n got %x\nwant %x", got, want)
+		}
+	})
+}
+
 func TestBatchValidation(t *testing.T) {
 	r := newRig(1, nil)
 	r.run(t, func(p *sim.Proc, c *Client) {

@@ -49,6 +49,7 @@ type Server struct {
 
 	cq       *via.CQ
 	workQ    *sim.Chan[*srvReq]
+	staging  [][]byte // free RDMA staging buffers, at most one per worker
 	sessions []*session
 	crashed  bool
 	draining bool
@@ -109,14 +110,15 @@ func NewServer(nic *via.NIC, store *storage.Store, opts *ServerOptions) *Server 
 	}
 	prov := nic.Provider()
 	s := &Server{
-		node:  nic.Node,
-		nic:   nic,
-		prof:  prov.Prof,
-		k:     prov.K,
-		store: store,
-		disk:  disk,
-		workQ: sim.NewChan[*srvReq](prov.K, 0),
-		tr:    prov.Tracer,
+		node:    nic.Node,
+		nic:     nic,
+		prof:    prov.Prof,
+		k:       prov.K,
+		store:   store,
+		disk:    disk,
+		workQ:   sim.NewChan[*srvReq](prov.K, 0),
+		staging: make([][]byte, 0, workers),
+		tr:      prov.Tracer,
 	}
 	s.cq = nic.NewCQ(nic.Node.Name + ".dafs.cq")
 	s.k.SpawnDaemon(nic.Node.Name+".dafs.dispatch", s.dispatch)
@@ -505,20 +507,8 @@ func (s *Server) exec(p *sim.Proc, sess *session, proc Proc, r *rd) (Status, fun
 		if n > 0 {
 			// Zero server CPU data path: the NIC DMAs straight out of
 			// the (pre-registered) buffer cache into client memory.
-			reg := s.nic.RegisterCached(f.Slice(off, n))
-			fut := sim.NewFuture[via.Completion](s.k)
-			err := sess.vi.PostSend(p, &via.Descriptor{
-				Op: via.OpRDMAWrite, Region: reg, Len: n,
-				RemoteHandle: rhandle, RemoteOffset: roff, Ctx: fut,
-			})
-			if err != nil {
-				s.nic.DropCached(reg)
-				return StatusIO, nil
-			}
-			comp := fut.Get(p)
-			s.nic.DropCached(reg)
-			if comp.Err != nil {
-				return StatusAccess, nil
+			if st := s.rdma(p, sess, via.OpRDMAWrite, f.Slice(off, n), rhandle, roff); st != StatusOK {
+				return st, nil
 			}
 		}
 		s.stats.DirectReads++
@@ -539,29 +529,22 @@ func (s *Server) exec(p *sim.Proc, sess *session, proc Proc, r *rd) (Status, fun
 		}
 		if count > 0 {
 			// The NIC pulls data from client memory directly into
-			// buffer-cache pages. A real cache's pages are stable; our
-			// files are contiguous Go slices that may move when another
-			// request grows the file concurrently, so the RDMA lands in
-			// a stable staging page set which is committed to the file
-			// atomically (zero time charged: it models in-place page
-			// placement, not a CPU copy).
-			staging := make([]byte, count)
-			reg := s.nic.RegisterCached(staging)
-			fut := sim.NewFuture[via.Completion](s.k)
-			err := sess.vi.PostSend(p, &via.Descriptor{
-				Op: via.OpRDMARead, Region: reg, Len: count,
-				RemoteHandle: rhandle, RemoteOffset: roff, Ctx: fut,
-			})
-			if err != nil {
-				s.nic.DropCached(reg)
-				return StatusIO, nil
+			// buffer-cache pages. An RDMA needs one contiguous registered
+			// target that stays put while the transfer is in flight, and
+			// the range being written may not exist in the file yet, so
+			// the RDMA lands in a staging buffer taken from the server's
+			// free list, which is committed to the file atomically (zero
+			// time charged: it models in-place page placement, not a CPU
+			// copy) and then handed back.
+			staging := s.getStaging(count)
+			st := s.rdma(p, sess, via.OpRDMARead, staging, rhandle, roff)
+			if st == StatusOK {
+				f.WriteAt(staging, off) // atomic: no yields during placement
 			}
-			comp := fut.Get(p)
-			s.nic.DropCached(reg)
-			if comp.Err != nil {
-				return StatusAccess, nil
+			s.putStaging(staging)
+			if st != StatusOK {
+				return st, nil
 			}
-			f.WriteAt(staging, off) // atomic: no yields during placement
 		}
 		s.touchDisk(p, off, count)
 		s.stats.DirectWrites++
@@ -647,29 +630,26 @@ func (s *Server) exec(p *sim.Proc, sess *session, proc Proc, r *rd) (Status, fun
 // staging pages (per-segment DMA in a real filer: zero CPU charge) and
 // delivers everything with one RDMA write into the client's slots.
 func (s *Server) execReadBatch(p *sim.Proc, sess *session, f *storage.File, segs []SegSpec, total int, rhandle via.MemHandle, roff int) (Status, func(*wr)) {
-	staging := make([]byte, total)
+	staging := s.getStaging(total)
 	got := 0
 	pos := 0
 	for _, sg := range segs {
-		got += f.ReadAt(staging[pos:pos+sg.Len], sg.Off)
+		seg := staging[pos : pos+sg.Len]
+		n := f.ReadAt(seg, sg.Off)
+		// The whole staging buffer lands in the client's region, so the
+		// part of a segment past EOF must not carry a recycled buffer's
+		// old bytes.
+		clear(seg[n:])
+		got += n
 		pos += sg.Len
 	}
+	st := StatusOK
 	if total > 0 {
-		reg := s.nic.RegisterCached(staging)
-		fut := sim.NewFuture[via.Completion](s.k)
-		err := sess.vi.PostSend(p, &via.Descriptor{
-			Op: via.OpRDMAWrite, Region: reg, Len: total,
-			RemoteHandle: rhandle, RemoteOffset: roff, Ctx: fut,
-		})
-		if err != nil {
-			s.nic.DropCached(reg)
-			return StatusIO, nil
-		}
-		comp := fut.Get(p)
-		s.nic.DropCached(reg)
-		if comp.Err != nil {
-			return StatusAccess, nil
-		}
+		st = s.rdma(p, sess, via.OpRDMAWrite, staging, rhandle, roff)
+	}
+	s.putStaging(staging)
+	if st != StatusOK {
+		return st, nil
 	}
 	s.stats.DirectReads++
 	s.stats.DirectReadBytes += int64(got)
@@ -680,32 +660,72 @@ func (s *Server) execReadBatch(p *sim.Proc, sess *session, f *storage.File, segs
 // places each segment at its file offset (page placement: zero CPU
 // charge, as in WriteDirect).
 func (s *Server) execWriteBatch(p *sim.Proc, sess *session, f *storage.File, segs []SegSpec, total int, rhandle via.MemHandle, roff int) (Status, func(*wr)) {
-	staging := make([]byte, total)
+	staging := s.getStaging(total)
+	st := StatusOK
 	if total > 0 {
-		reg := s.nic.RegisterCached(staging)
-		fut := sim.NewFuture[via.Completion](s.k)
-		err := sess.vi.PostSend(p, &via.Descriptor{
-			Op: via.OpRDMARead, Region: reg, Len: total,
-			RemoteHandle: rhandle, RemoteOffset: roff, Ctx: fut,
-		})
-		if err != nil {
-			s.nic.DropCached(reg)
-			return StatusIO, nil
-		}
-		comp := fut.Get(p)
-		s.nic.DropCached(reg)
-		if comp.Err != nil {
-			return StatusAccess, nil
+		st = s.rdma(p, sess, via.OpRDMARead, staging, rhandle, roff)
+	}
+	if st == StatusOK {
+		pos := 0
+		for _, sg := range segs {
+			f.WriteAt(staging[pos:pos+sg.Len], sg.Off) // atomic placement, no yields
+			pos += sg.Len
 		}
 	}
-	pos := 0
-	for _, sg := range segs {
-		f.WriteAt(staging[pos:pos+sg.Len], sg.Off) // atomic placement, no yields
-		pos += sg.Len
+	s.putStaging(staging)
+	if st != StatusOK {
+		return st, nil
 	}
 	s.stats.DirectWrites++
 	s.stats.DirectWriteBytes += int64(total)
 	return StatusOK, func(w *wr) { w.U32(uint32(total)) }
+}
+
+// rdma runs one server-driven RDMA between buf and the client's region
+// and waits for its completion. buf is registered for the transfer only,
+// at no CPU cost: it stands for the pre-registered buffer cache. When
+// rdma returns, the NIC is done with buf: the descriptor was either never
+// posted or has completed. A transfer lost on the wire never completes,
+// so the worker, and the buffer, stay parked for good.
+func (s *Server) rdma(p *sim.Proc, sess *session, op via.Op, buf []byte, rhandle via.MemHandle, roff int) Status {
+	reg := s.nic.RegisterCached(buf)
+	fut := sim.NewFuture[via.Completion](s.k)
+	err := sess.vi.PostSend(p, &via.Descriptor{
+		Op: op, Region: reg, Len: len(buf),
+		RemoteHandle: rhandle, RemoteOffset: roff, Ctx: fut,
+	})
+	if err != nil {
+		s.nic.DropCached(reg)
+		return StatusIO
+	}
+	comp := fut.Get(p)
+	s.nic.DropCached(reg)
+	if comp.Err != nil {
+		return StatusAccess
+	}
+	return StatusOK
+}
+
+// getStaging takes an n-byte RDMA staging buffer from the free list,
+// allocating when the list is empty or its top buffer is too small. The
+// contents are stale; callers overwrite every byte they use.
+func (s *Server) getStaging(n int) []byte {
+	if k := len(s.staging); k > 0 {
+		b := s.staging[k-1]
+		s.staging = s.staging[:k-1]
+		if cap(b) >= n {
+			return b[:n]
+		}
+	}
+	return make([]byte, n)
+}
+
+// putStaging returns a staging buffer once rdma has returned. Each worker
+// holds at most one, so the list keeps at most one per worker.
+func (s *Server) putStaging(b []byte) {
+	if len(s.staging) < cap(s.staging) {
+		s.staging = append(s.staging, b)
+	}
 }
 
 // file decodes a file handle and resolves it.

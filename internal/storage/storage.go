@@ -139,15 +139,34 @@ func (f *File) ReadAt(b []byte, off int64) int {
 	return copy(b, f.data[off:])
 }
 
-// WriteAt stores b at off, growing (zero-filling) the file as needed.
+// WriteAt stores b at off, growing (zero-filling any hole) as needed.
+//
+// A write that starts at EOF, before it, or less than sparseHole past it
+// and ends past the capacity grows the capacity geometrically, so a file
+// built by appends, or by concurrent writers interleaving small pieces,
+// costs linear copying. A write farther past EOF leaves a real hole and
+// grows to the exact size: an idle sparse object carries no slack into
+// the live heap.
 func (f *File) WriteAt(b []byte, off int64) int {
 	if off < 0 {
 		return 0
 	}
 	end := off + int64(len(b))
-	f.ensure(end)
+	if size := int64(len(f.data)); end > size {
+		c := end
+		if off-size < sparseHole {
+			c = max(end, 2*int64(cap(f.data)))
+		}
+		f.grow(end, c, max(off, size))
+	}
 	return copy(f.data[off:], b)
 }
+
+// sparseHole is the smallest gap past EOF that WriteAt treats as a hole
+// in a sparse file rather than as a piece of a dense fill arriving out of
+// order. Strided writers interleaving segments leave gaps of a few
+// segments; a sparse object's holes span whole stripe units or more.
+const sparseHole = 64 << 10
 
 // Truncate sets the file length, growing with zeros or discarding the tail.
 func (f *File) Truncate(n int64) {
@@ -158,23 +177,25 @@ func (f *File) Truncate(n int64) {
 		f.data = f.data[:n]
 		return
 	}
-	f.ensure(n)
+	f.grow(n, n, n)
 }
 
-// ensure grows the file to at least n bytes.
-func (f *File) ensure(n int64) {
-	if int64(len(f.data)) >= n {
+// grow lengthens the file to n bytes, reallocating with capacity c (>= n)
+// when n exceeds the current capacity. Afterwards the bytes from the old
+// length up to zeroTo read as zeros: a fresh allocation already is, and
+// capacity kept across a shrinking Truncate may hold stale bytes, which
+// are cleared. The caller overwrites [zeroTo, n) itself, so those bytes
+// are not cleared first.
+func (f *File) grow(n, c, zeroTo int64) {
+	old := int64(len(f.data))
+	if n > int64(cap(f.data)) {
+		grown := make([]byte, n, c)
+		copy(grown, f.data)
+		f.data = grown
 		return
 	}
-	if int64(cap(f.data)) >= n {
-		old := len(f.data)
-		f.data = f.data[:n]
-		clear(f.data[old:]) // capacity may hold stale bytes from a truncate
-		return
-	}
-	grown := make([]byte, n)
-	copy(grown, f.data)
-	f.data = grown
+	f.data = f.data[:n]
+	clear(f.data[old:zeroTo])
 }
 
 // Slice exposes the file's bytes in [off, off+n) for zero-copy transfer

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -266,3 +267,124 @@ func TestDiskAccessResetsPosition(t *testing.T) {
 		t.Fatalf("position not invalidated: %v", done)
 	}
 }
+
+// A file built by sequential appends, or by writers interleaving small
+// pieces with the last one running ahead of EOF, reallocates at most
+// ⌈log₂ n⌉+1 times over n writes past EOF, so building it costs linear
+// copying.
+func TestDenseGrowthIsGeometric(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		seg  int
+		// order lists, per round, which of len(order) interleaved
+		// segments is written when; the first one extends the file.
+		order []int
+	}{
+		{"appends", 64 << 10, []int{0}},
+		{"strided, last writer ahead", 128, []int{3, 0, 1, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const rounds = 100
+			s := NewStore()
+			f, _ := s.Create("f")
+			stride := tc.seg * len(tc.order)
+			reallocs, lastCap := 0, cap(f.data)
+			for r := 0; r < rounds; r++ {
+				for _, w := range tc.order {
+					off := r*stride + w*tc.seg
+					f.WriteAt(bytes.Repeat([]byte{byte(w + 1)}, tc.seg), int64(off))
+					if c := cap(f.data); c != lastCap {
+						reallocs++
+						lastCap = c
+					}
+				}
+			}
+			if limit := bits.Len(uint(rounds-1)) + 1; reallocs > limit { // ⌈log₂ n⌉+1
+				t.Fatalf("%d rounds reallocated %d times, want <= %d", rounds, reallocs, limit)
+			}
+			got := make([]byte, rounds*stride)
+			if n := f.ReadAt(got, 0); n != len(got) {
+				t.Fatalf("ReadAt = %d, want %d", n, len(got))
+			}
+			for i, b := range got {
+				if want := byte(i%stride/tc.seg + 1); b != want {
+					t.Fatalf("byte %d = %d, want %d", i, b, want)
+				}
+			}
+		})
+	}
+}
+
+// A write that leaves a hole of sparseHole or more past EOF grows to the
+// exact size: sparse objects carry no slack capacity.
+func TestHoleWriteGrowsExactly(t *testing.T) {
+	s := NewStore()
+	f, _ := s.Create("f")
+	f.WriteAt([]byte("x"), 1<<20)
+	if len(f.data) != cap(f.data) {
+		t.Fatalf("hole write into empty file: len %d cap %d", len(f.data), cap(f.data))
+	}
+	for i := 0; i < 3; i++ {
+		f.WriteAt(make([]byte, 4096), f.Size()) // appends leave slack
+	}
+	f.WriteAt([]byte("y"), int64(cap(f.data))+1000)
+	if len(f.data) != cap(f.data) {
+		t.Fatalf("hole write past capacity: len %d cap %d", len(f.data), cap(f.data))
+	}
+}
+
+// Capacity left behind by a shrinking Truncate holds stale bytes; neither
+// an append nor a hole write over it may expose them.
+func TestShrinkThenRegrowReadsZeros(t *testing.T) {
+	s := NewStore()
+	f, _ := s.Create("f")
+	old := bytes.Repeat([]byte{0xAA}, 1000)
+	f.WriteAt(old, 0)
+	f.Truncate(100)
+	f.WriteAt([]byte("abc"), 100)     // append into stale capacity
+	f.WriteAt([]byte("xyz"), 500)     // hole write into stale capacity
+	f.WriteAt([]byte("end"), 1<<20-3) // hole write past capacity
+	want := make([]byte, 1<<20)
+	copy(want, old[:100])
+	copy(want[100:], "abc")
+	copy(want[500:], "xyz")
+	copy(want[1<<20-3:], "end")
+	got := make([]byte, len(want))
+	if n := f.ReadAt(got, 0); n != len(want) {
+		t.Fatalf("ReadAt = %d, want %d", n, len(want))
+	}
+	if !bytes.Equal(got, want) {
+		i := 0
+		for got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("first difference at %d: got %#x want %#x", i, got[i], want[i])
+	}
+}
+
+func BenchmarkFileAppend(b *testing.B) {
+	chunk := make([]byte, 64<<10)
+	const perFile = 256 // 16 MB files
+	b.SetBytes(int64(len(chunk)))
+	var f *File
+	for i := 0; i < b.N; i++ {
+		if i%perFile == 0 {
+			f = &File{}
+		}
+		f.WriteAt(chunk, f.Size())
+	}
+}
+
+func BenchmarkFileReadAt(b *testing.B) {
+	const size = 16 << 20
+	f := &File{}
+	f.WriteAt(make([]byte, size), 0)
+	buf := make([]byte, 64<<10)
+	b.SetBytes(int64(len(buf)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		readSink = f.ReadAt(buf, int64(i*len(buf))%size)
+	}
+}
+
+var readSink int

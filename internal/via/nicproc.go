@@ -178,7 +178,7 @@ func (n *NIC) streamOut(p *sim.Proc, d *Descriptor, kind cellKind, dst fabric.No
 			tr.Charge(d.span, trace.CatNIC, dmaService)
 			tr.Charge(d.span, trace.CatQueue, p.Now()-t0-dmaService)
 		}
-		data := make([]byte, nb)
+		data := n.prov.cellBuf(nb)
 		copy(data, d.Region.buf[d.Offset+off:d.Offset+off+nb])
 		last := off+nb >= total
 		c := cell{
@@ -350,6 +350,7 @@ func (n *NIC) handleSend(p *sim.Proc, c cell) {
 		n.stats.CellsIn++
 		n.stats.BytesIn += int64(c.n)
 	}
+	n.prov.freeCell(c.data)
 	st.got += c.n
 	if !c.last {
 		return
@@ -391,6 +392,7 @@ func (n *NIC) handleRDMAWrite(p *sim.Proc, c cell) {
 		n.stats.CellsIn++
 		n.stats.BytesIn += int64(c.n)
 	}
+	n.prov.freeCell(c.data)
 	st.got += c.n
 	if !c.last {
 		return
@@ -454,6 +456,7 @@ func (n *NIC) handleReadResp(p *sim.Proc, c cell) {
 		n.stats.CellsIn++
 		n.stats.BytesIn += int64(c.n)
 	}
+	n.prov.freeCell(c.data)
 	n.respGot[c.token] += c.n
 	if !c.last {
 		return

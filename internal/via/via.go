@@ -93,7 +93,47 @@ type Provider struct {
 	Metrics *metrics.Registry
 
 	nics map[fabric.NodeID]*NIC
+
+	// cells is the free list of cell payload buffers, each one cell's
+	// worth of data bytes: streamOut takes one per cell and the receiving
+	// NIC hands it back right after copying the payload out (cellBuf).
+	cells [][]byte
 }
+
+// cellBuf returns an n-byte cell payload buffer from the free list,
+// allocating when the list is empty. Its contents are stale: the caller
+// overwrites all n bytes.
+//
+// A buffer goes back to the list (freeCell) only from the receive
+// handlers, after their copy. A cell that never reaches one — dropped by
+// the fault injector, discarded by a dead NIC, or arriving for a read
+// that has already failed — leaves its buffer to the garbage collector.
+// An injected duplicate shares its original's buffer, which is safe:
+// the transmit loop sends the original first, the link delivers in
+// order, and the receiver discards the duplicate before reading its
+// payload, so reusing the buffer once the original is consumed never
+// changes bytes anyone reads.
+func (pr *Provider) cellBuf(n int) []byte {
+	if k := len(pr.cells); k > 0 {
+		b := pr.cells[k-1]
+		pr.cells = pr.cells[:k-1]
+		return b[:n]
+	}
+	return make([]byte, n, pr.Prof.CellSize-pr.Prof.CellHeader)
+}
+
+// freeCell returns a cell payload buffer once its bytes have been copied
+// out. The list keeps at most cellsPerNIC buffers per NIC, the cells one
+// sending NIC holds at a time (streamOut's, two in the transmit queue,
+// one on the link); a burst queued at a congested receiver beyond that
+// is left to the garbage collector.
+func (pr *Provider) freeCell(b []byte) {
+	if len(pr.cells) < cellsPerNIC*len(pr.nics) {
+		pr.cells = append(pr.cells, b)
+	}
+}
+
+const cellsPerNIC = 4
 
 // NewProvider creates a VIA provider for the fabric.
 func NewProvider(fab *fabric.Fabric) *Provider {
