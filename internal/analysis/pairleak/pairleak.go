@@ -8,9 +8,10 @@
 //   - Registered staging buffers: StripedDAFSDriver.getStage without
 //     putStage / putStageAll leaks a pinned, NIC-registered window —
 //     the pool never sees it again and the registration is lost.
-//   - VIA registrations: NIC.Register without NIC.Deregister pins
-//     simulated memory forever (the registration *cache* owns its own
-//     regions; only raw Register results are tracked).
+//   - VIA registrations: NIC.Register or NIC.RegisterRing without
+//     NIC.Deregister pins simulated memory forever (the registration
+//     *cache* owns its own regions; only raw Register and RegisterRing
+//     results are tracked).
 //
 // The pass runs a may-be-open dataflow over the control-flow graph
 // (internal/analysis/cfg): an acquire opens a token, a matching release
@@ -48,7 +49,7 @@ import (
 // Analyzer is the pairleak pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "pairleak",
-	Doc:  "flag CFG paths where an acquire (Resource.Acquire, getStage, NIC.Register) has no matching release before exit",
+	Doc:  "flag CFG paths where an acquire (Resource.Acquire, getStage, NIC.Register, NIC.RegisterRing) has no matching release before exit",
 	Run:  run,
 }
 
@@ -65,6 +66,7 @@ const (
 var acquireKeys = map[string]string{
 	"dafsio/internal/mpiio.StripedDAFSDriver.getStage": "staging buffer from getStage",
 	"dafsio/internal/via.NIC.Register":                 "registered region from NIC.Register",
+	"dafsio/internal/via.NIC.RegisterRing":             "registered ring from NIC.RegisterRing",
 }
 
 func run(pass *analysis.Pass) error {

@@ -3,6 +3,8 @@
 package a
 
 import (
+	"errors"
+
 	"dafsio/internal/sim"
 	"dafsio/internal/via"
 )
@@ -12,6 +14,8 @@ type node struct {
 	nic *via.NIC
 	ch  *sim.Chan[int]
 }
+
+var errBad = errors.New("bad")
 
 type holder struct {
 	reg *via.Region
@@ -75,6 +79,28 @@ func badRegionMultiReturn(p *sim.Proc, n *node, buf []byte, c bool) (int, error)
 // The result is dropped on the floor: leaked the instant it is acquired.
 func badRegionDropped(p *sim.Proc, n *node, buf []byte) {
 	n.nic.Register(p, buf) // want `result of acquire dropped: registered region from NIC\.Register is never released`
+}
+
+// A message ring leaked on the error path, the shape of a session dial
+// that fails after registering its rings.
+func badRingErrorPath(p *sim.Proc, n *node, c bool) error {
+	r := n.nic.RegisterRing(p, 8, 512) // want `registered ring from NIC\.RegisterRing is not released on every path to return`
+	if c {
+		return errBad
+	}
+	n.nic.Deregister(p, r)
+	return nil
+}
+
+// A ring released on every path: clean.
+func okRingPair(p *sim.Proc, n *node, c bool) error {
+	r := n.nic.RegisterRing(p, 8, 512)
+	if c {
+		n.nic.Deregister(p, r)
+		return errBad
+	}
+	n.nic.Deregister(p, r)
+	return nil
 }
 
 // Returned: ownership moves to the caller — clean here.

@@ -6,7 +6,8 @@
 // et al., FAST 2002) rests on the NIC refusing DMA to unregistered memory:
 // a descriptor naming an unregistered buffer is the bug class real VIA
 // hardware rejects at the doorbell. In the simulation the only legitimate
-// producers of a *via.Region are (*via.NIC).Register and RegisterCached —
+// producers of a *via.Region are (*via.NIC).Register, RegisterRing (a
+// message ring whose host bytes are lent per slot) and RegisterCached —
 // outside internal/via a Region cannot be forged without tripping this
 // pass:
 //
@@ -74,11 +75,11 @@ func run(pass *analysis.Pass) error {
 			switch n := n.(type) {
 			case *ast.CompositeLit:
 				if isType(pass, n, regionType) {
-					pass.Reportf(n.Pos(), "via.Region composite literal: regions must come from (*via.NIC).Register or RegisterCached, never be forged")
+					pass.Reportf(n.Pos(), "via.Region composite literal: regions must come from (*via.NIC).Register, RegisterRing or RegisterCached, never be forged")
 				}
 			case *ast.CallExpr:
 				if isNewRegion(pass, n, regionType) {
-					pass.Reportf(n.Pos(), "new(via.Region): regions must come from (*via.NIC).Register or RegisterCached, never be forged")
+					pass.Reportf(n.Pos(), "new(via.Region): regions must come from (*via.NIC).Register, RegisterRing or RegisterCached, never be forged")
 				}
 				checkSink(pass, f, n, regionType)
 			case *ast.ValueSpec:
@@ -235,11 +236,11 @@ func checkSink(pass *analysis.Pass, file *ast.File, call *ast.CallExpr, regionTy
 		}
 	}
 	if regionExpr == nil {
-		pass.Reportf(call.Pos(), "%s with descriptor missing its Region: the NIC rejects DMA to unregistered memory — use a region from (*via.NIC).Register", sel.Sel.Name)
+		pass.Reportf(call.Pos(), "%s with descriptor missing its Region: the NIC rejects DMA to unregistered memory — use a region from (*via.NIC).Register, RegisterRing or RegisterCached", sel.Sel.Name)
 		return
 	}
 	if origin := untrustedOrigin(pass, file, call, regionExpr); origin != "" {
-		pass.Reportf(regionExpr.Pos(), "%s descriptor's Region is %s: the NIC rejects DMA to unregistered memory — use a region from (*via.NIC).Register", sel.Sel.Name, origin)
+		pass.Reportf(regionExpr.Pos(), "%s descriptor's Region is %s: the NIC rejects DMA to unregistered memory — use a region from (*via.NIC).Register, RegisterRing or RegisterCached", sel.Sel.Name, origin)
 	}
 }
 

@@ -49,6 +49,11 @@ func goodRegistered(p *sim.Proc, n *via.NIC, vi *via.VI, buf []byte) {
 	_ = vi.PostRecv(p, &via.Descriptor{Region: r, Len: r.Len()})
 }
 
+func goodRing(p *sim.Proc, n *via.NIC, vi *via.VI) {
+	r := n.RegisterRing(p, 8, 512)
+	_ = vi.PostRecv(p, &via.Descriptor{Region: r, Offset: 512, Len: 512})
+}
+
 func goodCached(n *via.NIC, vi *via.VI, buf []byte) {
 	r := n.RegisterCached(buf)
 	_ = vi.PrepostRecv(&via.Descriptor{Region: r, Len: r.Len()})

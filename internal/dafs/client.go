@@ -73,7 +73,7 @@ type slot struct {
 	size int
 }
 
-func (s *slot) bytes() []byte { return s.reg.Bytes()[s.off : s.off+s.size] }
+func (s *slot) bytes() []byte { return s.reg.Slot(s.off, s.size) }
 
 type callResult struct {
 	status Status
@@ -215,8 +215,8 @@ func Dial(p *sim.Proc, nic *via.NIC, srv *Server, opts *Options) (*Client, error
 	// responses (pre-posted receives). The session owns both regions; every
 	// error path below must unregister them or the pinned windows leak for
 	// the rest of the run.
-	c.reqReg = nic.Register(p, make([]byte, o.Credits*c.slotSize))
-	c.respReg = nic.Register(p, make([]byte, o.Credits*c.slotSize))
+	c.reqReg = nic.RegisterRing(p, o.Credits, c.slotSize)
+	c.respReg = nic.RegisterRing(p, o.Credits, c.slotSize)
 	for i := 0; i < o.Credits; i++ {
 		c.reqPool.TrySend(&slot{reg: c.reqReg, off: i * c.slotSize, size: c.slotSize})
 		rs := &slot{reg: c.respReg, off: i * c.slotSize, size: c.slotSize}

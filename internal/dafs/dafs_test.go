@@ -219,6 +219,52 @@ func TestInlineReadWrite(t *testing.T) {
 	})
 }
 
+// An inline read clamps its count to the file size before it waits for
+// the disk; a truncate landing during that wait shortens the copy. The
+// bytes past the new EOF must read as zeros, not as whatever an earlier
+// response left in the (recycled) response buffer.
+func TestTruncateRacingInlineReadDeliversZeros(t *testing.T) {
+	r := newRig(1, nil)
+	r.srv.disk = storage.NewDisk(r.k, "disk", r.prof.DiskSeek, r.prof.DiskBW) // uncached: reads wait on the disk
+	const size = 4000
+	r.run(t, func(p *sim.Proc, c *Client) {
+		fh, _, err := c.Create(p, "f")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := c.Write(p, fh, 0, pattern(size, 0x5a)); err != nil {
+			t.Error(err)
+			return
+		}
+		// One full read per credit leaves file bytes in every response
+		// buffer the server owns.
+		got := make([]byte, size)
+		for range (*Options)(nil).withDefaults().Credits {
+			if n, err := c.Read(p, fh, 0, got); err != nil || n != size {
+				t.Errorf("warm-up read: n=%d err=%v", n, err)
+				return
+			}
+		}
+		rd, err := c.StartRead(p, fh, 0, got)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := c.Setattr(p, fh, 0); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := rd.Wait(p); err != nil {
+			t.Error(err)
+			return
+		}
+		if i := bytes.IndexFunc(got, func(r rune) bool { return r != 0 }); i >= 0 {
+			t.Errorf("byte %d of a read truncated to empty is %#x, want zero", i, got[i])
+		}
+	})
+}
+
 func TestInlineTooBigRejectedClientSide(t *testing.T) {
 	r := newRig(1, nil)
 	r.run(t, func(p *sim.Proc, c *Client) {

@@ -229,8 +229,8 @@ func (s *Server) accept(p *sim.Proc, clientVI *via.VI, o Options, slotSize int) 
 		maxInline: o.MaxInline,
 		slotSize:  slotSize,
 	}
-	sess.reqReg = s.nic.Register(p, make([]byte, o.Credits*slotSize))
-	sess.respReg = s.nic.Register(p, make([]byte, o.Credits*slotSize))
+	sess.reqReg = s.nic.RegisterRing(p, o.Credits, slotSize)
+	sess.respReg = s.nic.RegisterRing(p, o.Credits, slotSize)
 	for i := 0; i < o.Credits; i++ {
 		rs := &slot{reg: sess.reqReg, off: i * slotSize, size: slotSize}
 		if err := vi.PostRecv(p, &via.Descriptor{Region: sess.reqReg, Offset: rs.off, Len: rs.size, Ctx: &recvCtx{sess: sess, s: rs}}); err != nil {
@@ -446,7 +446,10 @@ func (s *Server) exec(p *sim.Proc, sess *session, proc Proc, r *rd) (Status, fun
 		return StatusOK, func(w *wr) {
 			w.U32(uint32(n))
 			if b := w.Need(n); b != nil {
-				f.ReadAt(b, off)
+				// n was clamped before the yields above; a truncate since
+				// then shortens the read, and the tail must not carry the
+				// response buffer's stale bytes.
+				clear(b[f.ReadAt(b, off):])
 			}
 		}
 

@@ -163,6 +163,7 @@ func (n *NIC) streamOut(p *sim.Proc, d *Descriptor, kind cellKind, dst fabric.No
 	// until the receiver takes the last cell off its link.
 	wire := tr.Begin(n.Node.Name, trace.LayerWire, kind.String(), d.span)
 	cellData := prof.CellSize - prof.CellHeader
+	src := d.Region.peek(d.Offset, d.Len) // nil: an empty ring slot, sent as zeros
 	total := d.Len
 	off := 0
 	for {
@@ -179,7 +180,11 @@ func (n *NIC) streamOut(p *sim.Proc, d *Descriptor, kind cellKind, dst fabric.No
 			tr.Charge(d.span, trace.CatQueue, p.Now()-t0-dmaService)
 		}
 		data := n.prov.cellBuf(nb)
-		copy(data, d.Region.buf[d.Offset+off:d.Offset+off+nb])
+		if src != nil {
+			copy(data, src[off:off+nb])
+		} else {
+			clear(data)
+		}
 		last := off+nb >= total
 		c := cell{
 			kind: kind, dst: dst, dstVI: dstVI,
@@ -388,7 +393,7 @@ func (n *NIC) handleRDMAWrite(p *sim.Proc, c cell) {
 	}
 	if st.region != nil && st.err == nil && c.n > 0 {
 		n.dmaIn(p, c.n, c.span)
-		copy(st.region.buf[c.raddr+c.off:], c.data)
+		copy(st.region.buf[c.raddr+c.off:], c.data) // lookup admits only flat regions
 		n.stats.CellsIn++
 		n.stats.BytesIn += int64(c.n)
 	}
@@ -413,6 +418,8 @@ func (n *NIC) handleAck(p *sim.Proc, c cell) {
 		return
 	}
 	delete(n.pendSends, c.msgID)
+	// The stream has read its last cell: a ring slot returns to the NIC.
+	d.Region.release(d.Offset)
 	p.Wait(n.prov.Prof.CompletionCost)
 	n.prov.Tracer.Charge(d.span, trace.CatNIC, n.prov.Prof.CompletionCost)
 	d.vi.SendCQ.deliver(p, Completion{VI: d.vi, Desc: d, Op: d.Op, Len: d.Len, Err: errOf(c.errCode)})

@@ -9,6 +9,17 @@ import (
 	"dafsio/internal/sim"
 )
 
+// seededFaults duplicates and drops cells sent by both nodes of a pair
+// during the first 6 ms, from fixed seeds.
+func seededFaults(k *sim.Kernel) *fault.Injector {
+	return fault.New(k, fault.Merge(
+		fault.Scatter(1, fault.DupCell, "a", 40, sim.Microsecond, 6*sim.Millisecond),
+		fault.Scatter(6, fault.DropCell, "a", 3, sim.Microsecond, 6*sim.Millisecond),
+		fault.Scatter(3, fault.DupCell, "b", 20, sim.Microsecond, 6*sim.Millisecond),
+		fault.Scatter(4, fault.DropCell, "b", 1, sim.Microsecond, 6*sim.Millisecond),
+	))
+}
+
 // Back-to-back sends, RDMA writes and RDMA reads with distinct payloads,
 // under injected cell drops and duplicates in both directions. Every
 // message either arrives byte-exact or never completes; no destination
@@ -22,12 +33,7 @@ func TestFaultedMessagesNeverMixPayloads(t *testing.T) {
 		sentinel = 0xEE
 	)
 	p2 := newPair(model.CLAN1998())
-	p2.nicA.prov.Faults = fault.New(p2.k, fault.Merge(
-		fault.Scatter(1, fault.DupCell, "a", 40, sim.Microsecond, 6*sim.Millisecond),
-		fault.Scatter(6, fault.DropCell, "a", 3, sim.Microsecond, 6*sim.Millisecond),
-		fault.Scatter(3, fault.DupCell, "b", 20, sim.Microsecond, 6*sim.Millisecond),
-		fault.Scatter(4, fault.DropCell, "b", 1, sim.Microsecond, 6*sim.Millisecond),
-	))
+	p2.nicA.prov.Faults = seededFaults(p2.k)
 	// Message m of op o carries pattern seed o*msgs+m.
 	want := func(o, m int) []byte {
 		b := make([]byte, size)

@@ -32,7 +32,9 @@ type Descriptor struct {
 	span    trace.OpID    // descriptor span: post -> completion (0: untraced)
 }
 
-func (d *Descriptor) buf() []byte { return d.Region.buf[d.Offset : d.Offset+d.Len] }
+// buf returns the descriptor's host bytes for the NIC to DMA into; an
+// empty ring slot takes its bytes here.
+func (d *Descriptor) buf() []byte { return d.Region.Slot(d.Offset, d.Len) }
 
 // Completion reports the outcome of a descriptor.
 type Completion struct {
@@ -152,6 +154,7 @@ func (vi *VI) PostRecv(p *sim.Proc, d *Descriptor) error {
 	}
 	d.Op = OpRecv
 	d.vi = vi
+	d.Region.release(d.Offset) // the NIC fills the slot; its old bytes are dead
 	vi.NIC.Node.Compute(p, vi.NIC.prov.Prof.DoorbellCost)
 	vi.recvQ = append(vi.recvQ, d)
 	vi.NIC.stats.RecvsPosted++
@@ -167,6 +170,7 @@ func (vi *VI) PrepostRecv(d *Descriptor) error {
 	}
 	d.Op = OpRecv
 	d.vi = vi
+	d.Region.release(d.Offset)
 	vi.recvQ = append(vi.recvQ, d)
 	vi.NIC.stats.RecvsPosted++
 	return nil
@@ -212,7 +216,7 @@ func (vi *VI) checkDesc(d *Descriptor) error {
 	if d.Region == nil || d.Region.nic != vi.NIC || !d.Region.valid {
 		return ErrInvalidRegion
 	}
-	if d.Offset < 0 || d.Len < 0 || d.Offset+d.Len > len(d.Region.buf) {
+	if !d.Region.inBounds(d.Offset, d.Len) {
 		return ErrBounds
 	}
 	return nil
